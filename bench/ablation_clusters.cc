@@ -7,26 +7,25 @@
  * scheduler, the round-robin strawman, and the multilevel graph
  * partitioner (docs/compiler.md).
  *
- * Quality gates recorded in the JSON (scripts/ci.sh stores it as
- * BENCH_partition.json; scripts/perf_gate.py hard-fails on them):
- *   - ml_cut_le_roundrobin: the multilevel partitioner's affinity cut
- *     is no worse than round-robin's on every benchmark x machine.
- *   - ml_ipc_ge_local_quad8 / _octa8: multilevel matches or beats the
- *     local scheduler's geomean IPC at 4 and at 8 clusters.
+ * Quality gates (each failure prints FAIL and exits 1; ctest runs this
+ * binary as the `ablation_clusters` case):
+ *   - every job succeeds;
+ *   - the multilevel partitioner's affinity cut is no worse than
+ *     round-robin's on every benchmark x machine;
+ *   - multilevel matches or beats the local scheduler's geomean IPC at
+ *     4 and at 8 clusters.
  *
  * A second, informational sweep crosses the three partitioners with
- * the shared-L2 axis (quad8, l2_kb in {0, 256}) and lands in the JSON
- * as `l2_cross_rows` — it does not participate in the gates above, it
- * records how partition quality interacts with the memory hierarchy.
+ * the shared-L2 axis (quad8, l2_kb in {0, 256}) — it does not
+ * participate in the gates above, it records how partition quality
+ * interacts with the memory hierarchy.
  *
  * Usage: ablation_clusters [--scale S] [--max-insts N] [--jobs N]
- *                          [--json-out FILE]
  */
 
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <string>
@@ -87,7 +86,6 @@ main(int argc, char **argv)
     double scale = 0.2;
     std::uint64_t max_insts = 100'000;
     unsigned jobs = 4;
-    std::string json_out;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto next = [&]() -> const char * {
@@ -103,8 +101,6 @@ main(int argc, char **argv)
             max_insts = std::strtoull(next(), nullptr, 10);
         else if (arg == "--jobs")
             jobs = static_cast<unsigned>(std::atoi(next()));
-        else if (arg == "--json-out")
-            json_out = next();
         else {
             std::cerr << "unknown argument: " << arg << "\n";
             return 2;
@@ -229,53 +225,5 @@ main(int argc, char **argv)
                         std::to_string(r.partitionCut)});
     crossTable.print(std::cout);
 
-    if (!json_out.empty()) {
-        std::ofstream out(json_out, std::ios::trunc);
-        if (!out) {
-            std::cerr << "cannot write " << json_out << "\n";
-            return 1;
-        }
-        out << "{\n  \"benchmark\": \"partition_quality\",\n"
-            << "  \"scale\": " << scale << ",\n"
-            << "  \"max_insts\": " << max_insts << ",\n"
-            << "  \"jobs_ok\": " << summary.ok << ",\n"
-            << "  \"jobs_total\": " << results.size() << ",\n"
-            << "  \"ml_cut_le_roundrobin\": "
-            << (cutOk ? "true" : "false") << ",\n"
-            << "  \"ml_ipc_ge_local_quad8\": "
-            << (quadOk ? "true" : "false") << ",\n"
-            << "  \"ml_ipc_ge_local_octa8\": "
-            << (octaOk ? "true" : "false") << ",\n"
-            << "  \"ml_local_ipc_geomean_quad8\": " << quadRatio << ",\n"
-            << "  \"ml_local_ipc_geomean_octa8\": " << octaRatio << ",\n"
-            << "  \"rows\": [\n";
-        for (std::size_t i = 0; i < results.size(); ++i) {
-            const auto &r = results[i];
-            out << "    {\"benchmark\": \"" << r.spec.benchmark
-                << "\", \"machine\": \"" << r.spec.machine
-                << "\", \"clusters\": " << clustersOf(r.spec.machine)
-                << ", \"scheduler\": \"" << r.spec.scheduler
-                << "\", \"cycles\": " << r.cycles
-                << ", \"ipc\": " << r.ipc
-                << ", \"partition_cut\": " << r.partitionCut
-                << ", \"partition_balance\": " << r.partitionBalance
-                << "}" << (i + 1 < results.size() ? "," : "") << "\n";
-        }
-        out << "  ],\n  \"l2_cross_rows\": [\n";
-        for (std::size_t i = 0; i < crossResults.size(); ++i) {
-            const auto &r = crossResults[i];
-            out << "    {\"benchmark\": \"" << r.spec.benchmark
-                << "\", \"scheduler\": \"" << r.spec.scheduler
-                << "\", \"l2_kb\": " << r.spec.l2Kb
-                << ", \"cycles\": " << r.cycles
-                << ", \"ipc\": " << r.ipc
-                << ", \"l2_miss_rate\": " << r.l2MissRate
-                << ", \"partition_cut\": " << r.partitionCut
-                << "}" << (i + 1 < crossResults.size() ? "," : "")
-                << "\n";
-        }
-        out << "  ]\n}\n";
-        std::cout << "wrote " << json_out << "\n";
-    }
     return rc;
 }

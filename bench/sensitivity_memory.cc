@@ -8,15 +8,14 @@
  * and asserts it is bit-identical (the refactor's equivalence claim,
  * end to end through the campaign runner), and reports how the stall
  * attribution shifts between the dcache_l2 and dcache_mem causes.
- * scripts/ci.sh stores the result as BENCH_mem.json.
+ * Each failed check prints FAIL and exits 1; ctest runs this binary as
+ * the `sensitivity_memory` case.
  *
  * Usage: sensitivity_memory [--scale S] [--max-insts N] [--jobs N]
- *                           [--json-out FILE]
  */
 
 #include <cstdint>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -53,7 +52,6 @@ main(int argc, char **argv)
     double scale = 0.1;
     std::uint64_t max_insts = 60'000;
     unsigned jobs = 4;
-    std::string json_out;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto next = [&]() -> const char * {
@@ -69,8 +67,6 @@ main(int argc, char **argv)
             max_insts = std::strtoull(next(), nullptr, 10);
         else if (arg == "--jobs")
             jobs = static_cast<unsigned>(std::atoi(next()));
-        else if (arg == "--json-out")
-            json_out = next();
         else {
             std::cerr << "unknown argument: " << arg << "\n";
             return 2;
@@ -157,39 +153,5 @@ main(int argc, char **argv)
                        stackCause(r, obs::StallCause::DcacheMem))});
     table.print(std::cout);
 
-    if (!json_out.empty()) {
-        std::ofstream out(json_out, std::ios::trunc);
-        if (!out) {
-            std::cerr << "cannot write " << json_out << "\n";
-            return 1;
-        }
-        out << "{\n  \"benchmark\": \"memory_sensitivity\",\n"
-            << "  \"scale\": " << scale << ",\n"
-            << "  \"max_insts\": " << max_insts << ",\n"
-            << "  \"jobs_ok\": " << summary.ok << ",\n"
-            << "  \"jobs_total\": " << results.size() << ",\n"
-            << "  \"conservation_ok\": "
-            << (nonConserved == 0 ? "true" : "false") << ",\n"
-            << "  \"paper_mode_deterministic\": "
-            << (deterministic ? "true" : "false") << ",\n"
-            << "  \"rows\": [\n";
-        for (std::size_t i = 0; i < results.size(); ++i) {
-            const auto &r = results[i];
-            out << "    {\"benchmark\": \"" << r.spec.benchmark
-                << "\", \"l2_kb\": " << r.spec.l2Kb
-                << ", \"mem_lat\": " << r.spec.memLat
-                << ", \"cycles\": " << r.cycles
-                << ", \"ipc\": " << r.ipc
-                << ", \"dcache_miss_rate\": " << r.dcacheMissRate
-                << ", \"l2_miss_rate\": " << r.l2MissRate
-                << ", \"stall_dcache_l2\": "
-                << stackCause(r, obs::StallCause::DcacheL2)
-                << ", \"stall_dcache_mem\": "
-                << stackCause(r, obs::StallCause::DcacheMem) << "}"
-                << (i + 1 < results.size() ? "," : "") << "\n";
-        }
-        out << "  ]\n}\n";
-        std::cout << "wrote " << json_out << "\n";
-    }
     return rc;
 }

@@ -10,14 +10,6 @@ BUILD="${1:-build}"
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$ROOT"
 
-# Keep the committed benches aside before regenerating them below; the
-# perf gate at the end compares fresh vs previous throughput.
-PREV_BENCH="$(mktemp -d /tmp/mca_prev_bench.XXXXXX)"
-for f in BENCH_core.json BENCH_compile.json BENCH_mem.json \
-         BENCH_sample.json BENCH_partition.json; do
-    [ -f "$f" ] && cp "$f" "$PREV_BENCH/$f"
-done
-
 cmake -B "$BUILD" -S .
 cmake --build "$BUILD" -j
 cd "$BUILD"
@@ -88,15 +80,6 @@ echo "$SUMMARY" | grep -q "compiles: 12 (6 shared)" || {
     exit 1
 }
 
-# Simulator-throughput benchmark: Scan vs Event issue engine, recorded
-# at the repo root for regression tracking (see EXPERIMENTS.md).
-"$BUILD/bench/micro_perf" --json-out "$ROOT/BENCH_core.json"
-
-# Compile-cache benchmark: Table-2 campaign wall clock with vs without
-# compile sharing; fails if the cache does more than one compile per
-# distinct config or perturbs any job result (see EXPERIMENTS.md).
-"$BUILD/bench/campaign_compile" --json-out "$ROOT/BENCH_compile.json"
-
 # N-cluster partitioning smokes: the --clusters machine selection with
 # every partitioner at 4 clusters (verified IR), the Figure-6
 # partitioner comparison, and a 4-cluster mcarun partitioner sweep.
@@ -111,19 +94,6 @@ done
     --partitioners local,roundrobin,multilevel --schedulers native \
     --scale 0.05 --max-insts 20000 --jobs 4 --no-cache --no-table \
     --quiet >/dev/null
-
-# Partition-quality benchmark: the cluster-count x partitioner sweep;
-# fails unless the multilevel partitioner cuts no more affinity weight
-# than round-robin on every workload and matches or beats the local
-# scheduler's geomean IPC at 4 and 8 clusters (see EXPERIMENTS.md).
-"$BUILD/bench/ablation_clusters" --jobs 4 \
-    --json-out "$ROOT/BENCH_partition.json"
-
-# Memory-hierarchy sensitivity smoke: the L2 x memory-latency grid over
-# compress + su2cor; fails on a cycle-stack conservation violation, a
-# dcache_l2 attribution without an L2, or a non-deterministic
-# paper-mode corner (see docs/memory.md and EXPERIMENTS.md).
-"$BUILD/bench/sensitivity_memory" --json-out "$ROOT/BENCH_mem.json"
 
 # Hierarchy-flag smoke: an L2-equipped machine with finite fill ports
 # runs end to end with conserved cycle stacks.
@@ -143,11 +113,6 @@ python3 scripts/check_ckpt.py "$SIM"
 "$BUILD/src/tools/mcarun" --benchmarks compress \
     --sample-periods 0,20000 --scale 0.5 --max-insts 60000 \
     --no-cache --quiet >/dev/null
-
-# Sampled-simulation benchmark: full detailed run vs SMARTS-style
-# sampled estimate; fails unless one benchmark reaches a 10x effective
-# speedup with <= 2% CPI error (see EXPERIMENTS.md).
-"$BUILD/bench/sampled_speedup" --json-out "$ROOT/BENCH_sample.json"
 
 # Host-profiler smoke (docs/profiling.md): a profiled gcc1 run must
 # attribute >= 90% of its wall clock to regions, the report must
@@ -174,7 +139,8 @@ python3 scripts/prof_report.py --diff /tmp/mca_ci_prof1.json \
 python3 scripts/check_telemetry.py /tmp/mca_ci_telemetry.jsonl \
     --expect-total 4
 
-# Throughput-regression gate: the fresh benches above vs the copies
-# saved before regeneration.
-python3 scripts/perf_gate.py "$PREV_BENCH" "$ROOT"
-rm -rf "$PREV_BENCH"
+# Repository benchmark self-test (perfbench/README.md): builds its own
+# tree under the git-ignored .bench_build/ and checks every workload's
+# exact outputs. Performance is compared by running perfbench/run.py on
+# the parent and on the change, not by a ledger committed here.
+python3 perfbench/selftest.py

@@ -6,6 +6,7 @@
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "compiler/pipeline.hh"
 #include "prof/prof.hh"
@@ -73,7 +74,12 @@ machineConfigFor(const JobSpec &spec)
         cfg = core::ProcessorConfig::multiCluster8(8);
     else
         throw std::runtime_error("unknown machine '" + spec.machine + "'");
+    return machineConfigFor(spec, std::move(cfg));
+}
 
+core::ProcessorConfig
+machineConfigFor(const JobSpec &spec, core::ProcessorConfig cfg)
+{
     if (!spec.predictor.empty()) {
         using Kind = core::ProcessorConfig::PredictorKind;
         if (spec.predictor == "mcfarling")

@@ -192,6 +192,14 @@ JobResult runJob(const JobSpec &spec, ArtifactStore *store = nullptr);
 core::ProcessorConfig machineConfigFor(const JobSpec &spec);
 
 /**
+ * The same predictor override and memory-hierarchy axes applied to an
+ * explicit @p base machine instead of the one spec.machine names (mcasim
+ * builds its `--clusters N` machines this way), validated.
+ */
+core::ProcessorConfig machineConfigFor(const JobSpec &spec,
+                                       core::ProcessorConfig base);
+
+/**
  * The compile configuration a spec names: the scheduler's base options
  * with the spec's threshold/unroll/profile-seed applied. The campaign
  * uses this (with machineConfigFor) to key compile artifacts before

@@ -24,6 +24,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -36,6 +37,7 @@
 #include "runner/emit.hh"
 #include "runner/table2.hh"
 #include "runner/telemetry.hh"
+#include "support/flags.hh"
 #include "support/log.hh"
 #include "support/table.hh"
 
@@ -183,12 +185,26 @@ parse(int argc, char **argv)
                 die(std::string("missing value for ") + what);
             return args[++i];
         };
+        // Checked numeric values: a malformed one throws, and main
+        // reports it as an error naming the flag.
+        auto needU64 = [&](const char *what) {
+            return parseUnsignedFlag(need(what), what);
+        };
+        auto needUnsigned = [&](const char *what) {
+            return static_cast<unsigned>(parseUnsignedFlag(
+                need(what), what, std::numeric_limits<unsigned>::max()));
+        };
+        auto needU64List = [&](const char *what) {
+            std::vector<std::uint64_t> out;
+            for (const auto &s : splitList(need(what)))
+                out.push_back(parseUnsignedFlag(s, what));
+            return out;
+        };
         auto needUnsignedList = [&](const char *what) {
             std::vector<unsigned> out;
             for (const auto &s : splitList(need(what)))
-                out.push_back(
-                    static_cast<unsigned>(std::strtoul(s.c_str(),
-                                                       nullptr, 10)));
+                out.push_back(static_cast<unsigned>(parseUnsignedFlag(
+                    s, what, std::numeric_limits<unsigned>::max())));
             return out;
         };
         if (a == "--help" || a == "-h") {
@@ -225,10 +241,7 @@ parse(int argc, char **argv)
         } else if (a == "--thresholds") {
             opt.grid.thresholds = needUnsignedList("--thresholds");
         } else if (a == "--trace-seeds") {
-            opt.grid.traceSeeds.clear();
-            for (const auto &s : splitList(need("--trace-seeds")))
-                opt.grid.traceSeeds.push_back(
-                    std::strtoull(s.c_str(), nullptr, 10));
+            opt.grid.traceSeeds = needU64List("--trace-seeds");
         } else if (a == "--l2-kb") {
             opt.grid.l2Kbs = needUnsignedList("--l2-kb");
         } else if (a == "--l2-lat") {
@@ -236,32 +249,23 @@ parse(int argc, char **argv)
         } else if (a == "--mem-lat") {
             opt.grid.memLats = needUnsignedList("--mem-lat");
         } else if (a == "--sample-periods") {
-            opt.grid.samplePeriods.clear();
-            for (const auto &s : splitList(need("--sample-periods")))
-                opt.grid.samplePeriods.push_back(
-                    std::strtoull(s.c_str(), nullptr, 10));
+            opt.grid.samplePeriods = needU64List("--sample-periods");
         } else if (a == "--sample-detail") {
-            opt.grid.sampleDetail = std::strtoull(
-                need("--sample-detail").c_str(), nullptr, 10);
+            opt.grid.sampleDetail = needU64("--sample-detail");
         } else if (a == "--sample-warmup") {
-            opt.grid.sampleWarmup = std::strtoull(
-                need("--sample-warmup").c_str(), nullptr, 10);
+            opt.grid.sampleWarmup = needU64("--sample-warmup");
         } else if (a == "--fill-ports") {
-            opt.grid.fillPorts = static_cast<unsigned>(
-                std::atoi(need("--fill-ports").c_str()));
+            opt.grid.fillPorts = needUnsigned("--fill-ports");
         } else if (a == "--scale") {
-            opt.grid.scale = std::atof(need("--scale").c_str());
+            opt.grid.scale = parseDoubleFlag(need("--scale"), "--scale");
         } else if (a == "--unroll") {
-            opt.grid.unroll = static_cast<unsigned>(
-                std::atoi(need("--unroll").c_str()));
+            opt.grid.unroll = needUnsigned("--unroll");
         } else if (a == "--predictor") {
             opt.grid.predictor = need("--predictor");
         } else if (a == "--max-insts") {
-            opt.grid.maxInsts = std::strtoull(need("--max-insts").c_str(),
-                                              nullptr, 10);
+            opt.grid.maxInsts = needU64("--max-insts");
         } else if (a == "--max-cycles") {
-            opt.grid.maxCycles = std::strtoull(
-                need("--max-cycles").c_str(), nullptr, 10);
+            opt.grid.maxCycles = needU64("--max-cycles");
         } else if (a == "--table2") {
             opt.table2 = true;
         } else if (a == "--jobs" || a == "-j") {
@@ -272,14 +276,11 @@ parse(int argc, char **argv)
                 const unsigned hw = std::thread::hardware_concurrency();
                 opt.jobs = hw ? hw : 1;
             } else {
-                char *end = nullptr;
-                const unsigned long parsed =
-                    std::strtoul(v.c_str(), &end, 10);
-                if (v.empty() || end == nullptr || *end != '\0' ||
-                    parsed == 0 || parsed > 4096)
+                opt.jobs = static_cast<unsigned>(
+                    parseUnsignedFlag(v, "--jobs", 4096));
+                if (opt.jobs == 0)
                     die("--jobs expects a positive worker count "
                         "(1..4096) or 'auto', got '" + v + "'");
-                opt.jobs = static_cast<unsigned>(parsed);
             }
         } else if (a == "--cache") {
             opt.cacheDir = need("--cache");
@@ -465,7 +466,12 @@ printTable2Attribution(const std::vector<harness::Table2Row> &rows)
 int
 main(int argc, char **argv)
 {
-    const Options opt = parse(argc, argv);
+    Options opt;
+    try {
+        opt = parse(argc, argv);
+    } catch (const std::exception &e) {
+        die(e.what());
+    }
 
     runner::CampaignOptions campaign;
     campaign.jobs = opt.jobs;

@@ -19,7 +19,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <map>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -38,6 +38,7 @@
 #include "runner/jobspec.hh"
 #include "sample/driver.hh"
 #include "sample/spec.hh"
+#include "support/flags.hh"
 #include "support/log.hh"
 #include "support/panic.hh"
 #include "workloads/workloads.hh"
@@ -228,6 +229,15 @@ parse(int argc, char **argv)
                 MCA_FATAL("missing value for ", what);
             return args[++i];
         };
+        // Checked numeric values: a malformed one throws, and main
+        // reports it as a fatal error naming the flag.
+        auto needU64 = [&](const char *what) {
+            return parseUnsignedFlag(need(what), what);
+        };
+        auto needUnsigned = [&](const char *what) {
+            return static_cast<unsigned>(parseUnsignedFlag(
+                need(what), what, std::numeric_limits<unsigned>::max()));
+        };
         if (a == "--help" || a == "-h") {
             usage();
             std::exit(0);
@@ -243,8 +253,7 @@ parse(int argc, char **argv)
             checkChoice(opt.benchmark, runner::validBenchmarks(),
                         "--benchmark");
         } else if (a == "--random-seed") {
-            opt.randomSeed = std::strtoull(
-                need("--random-seed").c_str(), nullptr, 10);
+            opt.randomSeed = needU64("--random-seed");
         } else if (a == "--machine") {
             opt.machine = need("--machine");
             checkChoice(opt.machine, runner::validMachines(),
@@ -259,62 +268,46 @@ parse(int argc, char **argv)
             checkChoice(opt.scheduler, compiler::partitionerNames(),
                         "--partitioner");
         } else if (a == "--clusters") {
-            const long n = std::atol(need("--clusters").c_str());
+            const unsigned n = needUnsigned("--clusters");
             // Parse-time guard for the partitioner's int8_t assignment
             // storage; the machine factory narrows further to 1|2|4|8.
-            if (n <= 0 ||
-                n > static_cast<long>(
-                        compiler::ClusterAssignment::kMaxClusters))
+            if (n == 0 || n > compiler::ClusterAssignment::kMaxClusters)
                 MCA_FATAL("--clusters: cluster count ", n,
                           " out of range (accepted: 1, 2, 4, or 8)");
-            opt.clusters = static_cast<unsigned>(n);
+            opt.clusters = n;
         } else if (a == "--scale") {
-            opt.scale = std::atof(need("--scale").c_str());
+            opt.scale = parseDoubleFlag(need("--scale"), "--scale");
         } else if (a == "--max-insts") {
-            opt.maxInsts = std::strtoull(need("--max-insts").c_str(),
-                                         nullptr, 10);
+            opt.maxInsts = needU64("--max-insts");
         } else if (a == "--trace-seed") {
-            opt.traceSeed = std::strtoull(need("--trace-seed").c_str(),
-                                          nullptr, 10);
+            opt.traceSeed = needU64("--trace-seed");
         } else if (a == "--threshold") {
-            opt.threshold = static_cast<unsigned>(
-                std::atoi(need("--threshold").c_str()));
+            opt.threshold = needUnsigned("--threshold");
         } else if (a == "--unroll") {
-            opt.unroll = static_cast<unsigned>(
-                std::atoi(need("--unroll").c_str()));
+            opt.unroll = needUnsigned("--unroll");
         } else if (a == "--dq") {
-            opt.dqEntries = static_cast<unsigned>(
-                std::atoi(need("--dq").c_str()));
+            opt.dqEntries = needUnsigned("--dq");
         } else if (a == "--otb") {
-            opt.otbEntries = static_cast<unsigned>(
-                std::atoi(need("--otb").c_str()));
+            opt.otbEntries = needUnsigned("--otb");
         } else if (a == "--rtb") {
-            opt.rtbEntries = static_cast<unsigned>(
-                std::atoi(need("--rtb").c_str()));
+            opt.rtbEntries = needUnsigned("--rtb");
         } else if (a == "--queue-mode") {
             opt.queueMode = need("--queue-mode");
             checkChoice(opt.queueMode, {"window", "rs"}, "--queue-mode");
         } else if (a == "--mshr") {
-            opt.mshrEntries = static_cast<unsigned>(
-                std::atoi(need("--mshr").c_str()));
+            opt.mshrEntries = needUnsigned("--mshr");
         } else if (a == "--icache-kb") {
-            opt.icacheKb = static_cast<unsigned>(
-                std::atoi(need("--icache-kb").c_str()));
+            opt.icacheKb = needUnsigned("--icache-kb");
         } else if (a == "--dcache-kb") {
-            opt.dcacheKb = static_cast<unsigned>(
-                std::atoi(need("--dcache-kb").c_str()));
+            opt.dcacheKb = needUnsigned("--dcache-kb");
         } else if (a == "--l2-kb") {
-            opt.l2Kb = static_cast<unsigned>(
-                std::atoi(need("--l2-kb").c_str()));
+            opt.l2Kb = needUnsigned("--l2-kb");
         } else if (a == "--l2-lat") {
-            opt.l2Lat = static_cast<unsigned>(
-                std::atoi(need("--l2-lat").c_str()));
+            opt.l2Lat = needUnsigned("--l2-lat");
         } else if (a == "--mem-lat") {
-            opt.memLat = static_cast<unsigned>(
-                std::atoi(need("--mem-lat").c_str()));
+            opt.memLat = needUnsigned("--mem-lat");
         } else if (a == "--fill-ports") {
-            opt.fillPorts = static_cast<unsigned>(
-                std::atoi(need("--fill-ports").c_str()));
+            opt.fillPorts = needUnsigned("--fill-ports");
         } else if (a == "--predictor") {
             opt.predictor = need("--predictor");
             checkChoice(opt.predictor, runner::validPredictors(),
@@ -368,8 +361,7 @@ parse(int argc, char **argv)
         } else if (a == "--dump-binary") {
             opt.dumpBinary = true;
         } else if (a == "--timeline") {
-            opt.timeline = static_cast<unsigned>(
-                std::atoi(need("--timeline").c_str()));
+            opt.timeline = needUnsigned("--timeline");
         } else if (a == "--quiet") {
             opt.quiet = true;
         } else if (a == "--sample") {
@@ -377,13 +369,11 @@ parse(int argc, char **argv)
         } else if (a == "--ckpt-out") {
             opt.ckptOut = need("--ckpt-out");
         } else if (a == "--ckpt-at") {
-            opt.ckptAt = std::strtoull(need("--ckpt-at").c_str(),
-                                       nullptr, 10);
+            opt.ckptAt = needU64("--ckpt-at");
         } else if (a == "--ckpt-in") {
             opt.ckptIn = need("--ckpt-in");
         } else if (a == "--ckpt-every") {
-            opt.ckptEvery = std::strtoull(need("--ckpt-every").c_str(),
-                                          nullptr, 10);
+            opt.ckptEvery = needU64("--ckpt-every");
             if (opt.ckptEvery == 0)
                 MCA_FATAL("--ckpt-every must be >= 1");
         } else if (a == "--ckpt-dir") {
@@ -391,8 +381,7 @@ parse(int argc, char **argv)
         } else if (a == "--cycle-stacks") {
             opt.cycleStacks = true;
         } else if (a == "--interval-stats") {
-            opt.intervalStats = std::strtoull(
-                need("--interval-stats").c_str(), nullptr, 10);
+            opt.intervalStats = needU64("--interval-stats");
             if (opt.intervalStats == 0)
                 MCA_FATAL("--interval-stats must be >= 1");
         } else if (a == "--stats-out") {
@@ -400,8 +389,7 @@ parse(int argc, char **argv)
         } else if (a == "--trace-out") {
             opt.traceOut = need("--trace-out");
         } else if (a == "--trace-insts") {
-            opt.traceInsts = static_cast<unsigned>(
-                std::atoi(need("--trace-insts").c_str()));
+            opt.traceInsts = needUnsigned("--trace-insts");
         } else if (a == "--prof") {
             opt.prof = true;
         } else if (a == "--prof-out") {
@@ -430,32 +418,27 @@ parse(int argc, char **argv)
 core::ProcessorConfig
 machineConfig(const Options &opt, unsigned *clusters)
 {
-    static const std::map<std::string,
-                          core::ProcessorConfig (*)()>
-        kMachines = {
-            {"single8", &core::ProcessorConfig::singleCluster8},
-            {"dual8", &core::ProcessorConfig::dualCluster8},
-            {"single4", &core::ProcessorConfig::singleCluster4},
-            {"dual4", &core::ProcessorConfig::dualCluster4},
-        };
+    // The named machines, the predictor and the memory-hierarchy axes
+    // come from the runner's table, so mcasim and mcarun build the same
+    // machine from the same names; only the per-flag overrides below
+    // are mcasim's own.
+    runner::JobSpec spec;
+    spec.machine = opt.machine;
+    spec.predictor = opt.predictor;
+    spec.l2Kb = opt.l2Kb.value_or(spec.l2Kb);
+    spec.l2Lat = opt.l2Lat.value_or(spec.l2Lat);
+    spec.memLat = opt.memLat.value_or(spec.memLat);
+    spec.fillPorts = opt.fillPorts.value_or(spec.fillPorts);
     core::ProcessorConfig cfg;
-    if (opt.clusters > 0 && !opt.machineSet) {
+    try {
         // --clusters alone selects the N-cluster 8-way machine.
-        try {
-            cfg = core::ProcessorConfig::multiCluster8(opt.clusters,
-                                                       "--clusters");
-        } catch (const std::exception &e) {
-            MCA_FATAL(e.what());
-        }
-    } else if (opt.machine == "quad8") {
-        cfg = core::ProcessorConfig::multiCluster8(4);
-    } else if (opt.machine == "octa8") {
-        cfg = core::ProcessorConfig::multiCluster8(8);
-    } else {
-        auto it = kMachines.find(opt.machine);
-        if (it == kMachines.end())
-            MCA_FATAL("unknown machine '", opt.machine, "'");
-        cfg = it->second();
+        cfg = opt.clusters > 0 && !opt.machineSet
+                  ? runner::machineConfigFor(
+                        spec, core::ProcessorConfig::multiCluster8(
+                                  opt.clusters, "--clusters"))
+                  : runner::machineConfigFor(spec);
+    } catch (const std::exception &e) {
+        MCA_FATAL(e.what());
     }
     // Cross-check: the binary is partitioned for the machine's cluster
     // count, so an explicit --clusters must agree with --machine.
@@ -478,18 +461,6 @@ machineConfig(const Options &opt, unsigned *clusters)
         cfg.memory.icache.sizeBytes = *opt.icacheKb * 1024ull;
     if (opt.dcacheKb)
         cfg.memory.dcache.sizeBytes = *opt.dcacheKb * 1024ull;
-    if (opt.l2Kb)
-        cfg.memory.l2SizeBytes = *opt.l2Kb * 1024ull;
-    if (opt.l2Lat)
-        cfg.memory.l2HitLatency = *opt.l2Lat;
-    if (opt.memLat)
-        cfg.memory.memLatency = *opt.memLat;
-    if (opt.fillPorts) {
-        cfg.memory.icache.fillPorts = *opt.fillPorts;
-        cfg.memory.dcache.fillPorts = *opt.fillPorts;
-        cfg.memory.l2FillPorts = *opt.fillPorts;
-        cfg.memory.memPorts = *opt.fillPorts;
-    }
     cfg.speculativeHistory = opt.specHistory;
     cfg.reserveOldestEntry = opt.reserveOldest;
     cfg.paranoid = opt.paranoid;
@@ -503,23 +474,6 @@ machineConfig(const Options &opt, unsigned *clusters)
         cfg.holdQueueUntilRetire = true;
     else if (opt.queueMode == "rs")
         cfg.holdQueueUntilRetire = false;
-    else if (!opt.queueMode.empty())
-        MCA_FATAL("unknown queue mode '", opt.queueMode, "'");
-    if (!opt.predictor.empty()) {
-        using Kind = core::ProcessorConfig::PredictorKind;
-        if (opt.predictor == "mcfarling")
-            cfg.predictor = Kind::McFarling;
-        else if (opt.predictor == "gshare")
-            cfg.predictor = Kind::Gshare;
-        else if (opt.predictor == "bimodal")
-            cfg.predictor = Kind::Bimodal;
-        else if (opt.predictor == "taken")
-            cfg.predictor = Kind::StaticTaken;
-        else if (opt.predictor == "nottaken")
-            cfg.predictor = Kind::StaticNotTaken;
-        else
-            MCA_FATAL("unknown predictor '", opt.predictor, "'");
-    }
     // Surface bad knob combinations (cache geometry, zero widths) as a
     // one-line parse-time error instead of a mid-run assertion.
     try {
@@ -577,7 +531,12 @@ finishProfile(const Options &opt, obs::PerfettoExporter *exporter,
 int
 main(int argc, char **argv)
 {
-    const Options opt = parse(argc, argv);
+    Options opt;
+    try {
+        opt = parse(argc, argv);
+    } catch (const std::exception &e) {
+        MCA_FATAL(e.what());
+    }
 
     // Enable recording before any instrumented work so Profile::wallNs
     // spans (and the coverage check is honest about) the whole run.

@@ -14,8 +14,7 @@ using namespace detail;
  * loaded, so the misses cannot overlap. The pipeline spends most
  * cycles drained, waiting on the head load's fill — the
  * memory-latency-bound counterpart to ora's divider-bound serial
- * chains, and the simulator-side stress case for the idle fast-forward
- * (see bench/micro_perf.cc).
+ * chains, and the simulator-side stress case for the idle fast-forward.
  *
  * Not part of the paper's benchmark suite, so deliberately excluded
  * from allBenchmarks(): the Table-2/figure experiments iterate that

@@ -1,17 +1,20 @@
 /**
  * @file
  * Unit tests for the support library: RNG, saturating counters,
- * circular queues, bitsets, statistics, and the table formatter.
+ * circular queues, bitsets, statistics, the table formatter, and
+ * checked numeric flag parsing.
  */
 
 #include <gtest/gtest.h>
 
 #include <set>
 #include <sstream>
+#include <stdexcept>
 
 #include "obs/json.hh"
 #include "support/bitset.hh"
 #include "support/circular_queue.hh"
+#include "support/flags.hh"
 #include "support/random.hh"
 #include "support/sat_counter.hh"
 #include "support/stats.hh"
@@ -480,6 +483,43 @@ TEST(Stats, DistributionPercentileOverflowBucketReportsMax)
     EXPECT_EQ(d.percentile(0.99), 900u);
     EXPECT_EQ(d.percentile(1.0), 900u);
     EXPECT_EQ(d.percentile(0.1), 1u);
+}
+
+// --- numeric flags ----------------------------------------------------
+
+TEST(Flags, UnsignedTakesTheWholeString)
+{
+    EXPECT_EQ(parseUnsignedFlag("0", "--n"), 0u);
+    EXPECT_EQ(parseUnsignedFlag("300000", "--n"), 300'000u);
+    EXPECT_EQ(parseUnsignedFlag("18446744073709551615", "--n"),
+              18446744073709551615ull);
+    EXPECT_EQ(parseUnsignedFlag("4096", "--n", 4096), 4096u);
+    for (const char *bad : {"", "1e6", "12x", " 1", "+1", "-1", "0x10",
+                            "18446744073709551616"})
+        EXPECT_THROW(parseUnsignedFlag(bad, "--n"), std::runtime_error)
+            << "'" << bad << "'";
+    EXPECT_THROW(parseUnsignedFlag("4097", "--n", 4096),
+                 std::runtime_error);
+}
+
+TEST(Flags, DoubleTakesTheWholeString)
+{
+    EXPECT_DOUBLE_EQ(parseDoubleFlag("0.2", "--x"), 0.2);
+    EXPECT_DOUBLE_EQ(parseDoubleFlag("1e-1", "--x"), 0.1);
+    for (const char *bad : {"", "0.5x", "nan", "inf", "1e999", "x"})
+        EXPECT_THROW(parseDoubleFlag(bad, "--x"), std::runtime_error)
+            << "'" << bad << "'";
+}
+
+TEST(Flags, ErrorNamesTheFlagAndValue)
+{
+    try {
+        parseUnsignedFlag("1e6", "--max-insts");
+        FAIL() << "1e6 accepted";
+    } catch (const std::runtime_error &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "--max-insts: expected an unsigned integer, got '1e6'");
+    }
 }
 
 } // namespace

@@ -14,6 +14,22 @@
 #include "exec/walker.hh"
 #include "workloads/workloads.hh"
 
+namespace mca::workloads
+{
+
+/**
+ * Print a benchmark parameter by name. Without this gtest dumps the
+ * object's raw bytes, which hold heap pointers, so the discovered test
+ * names would change with every build.
+ */
+void
+PrintTo(const BenchmarkInfo &info, std::ostream *os)
+{
+    *os << info.name;
+}
+
+} // namespace mca::workloads
+
 namespace
 {
 

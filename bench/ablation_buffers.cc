@@ -8,12 +8,13 @@
  * Usage: ablation_buffers [scale] [max_insts]
  */
 
-#include <cstdlib>
 #include <iostream>
 
 #include "compiler/pipeline.hh"
-#include "harness/experiment.hh"
+#include "runner/jobspec.hh"
+#include "support/flags.hh"
 #include "support/table.hh"
+#include "workloads/workloads.hh"
 
 int
 main(int argc, char **argv)
@@ -21,10 +22,9 @@ main(int argc, char **argv)
     using namespace mca;
 
     workloads::WorkloadParams wp;
-    wp.scale = argc > 1 ? std::atof(argv[1]) : 0.2;
+    wp.scale = positionalDouble(argc, argv, 1, "scale", 0.2);
     const std::uint64_t max_insts =
-        argc > 2 ? static_cast<std::uint64_t>(std::atoll(argv[2]))
-                 : 100'000;
+        positionalUnsigned(argc, argv, 2, "max_insts", 100'000);
 
     std::cout << "Ablation: operand/result transfer-buffer entries per "
                  "cluster\n  cell = dual-cluster cycles with the native "
@@ -50,16 +50,12 @@ main(int argc, char **argv)
             auto cfg = core::ProcessorConfig::dualCluster8();
             cfg.operandBufferEntries = s;
             cfg.resultBufferEntries = s;
-            cfg.regMap = out.hardwareMap(2);
-            StatGroup stats(bench.name);
-            exec::ProgramTrace trace(out.binary, 42, max_insts);
-            core::Processor cpu(cfg, trace, stats);
-            const auto result = cpu.run(50'000'000);
-            cells.push_back(
-                std::to_string(result.cycles) + " (" +
-                std::to_string(
-                    stats.counterAt("replay.exceptions").value()) +
-                ")");
+            const auto r = runner::requireOk(
+                runner::simulate(out.binary, out.hardwareMap(2), cfg, 42,
+                                 max_insts, 50'000'000),
+                bench.name);
+            cells.push_back(std::to_string(r.cycles) + " (" +
+                            std::to_string(r.replays) + ")");
         }
         table.row(cells);
     }

@@ -10,12 +10,14 @@
  * Usage: ablation_globalregs [scale] [max_insts]
  */
 
-#include <cstdlib>
+#include <algorithm>
 #include <iostream>
 
 #include "compiler/pipeline.hh"
-#include "harness/experiment.hh"
+#include "runner/jobspec.hh"
+#include "support/flags.hh"
 #include "support/table.hh"
+#include "workloads/workloads.hh"
 
 namespace
 {
@@ -23,16 +25,18 @@ namespace
 using namespace mca;
 
 /** Compile with a tweak applied to the IL, then run dual/local. */
-harness::RunStats
+runner::JobResult
 runVariant(prog::Program program, std::uint64_t max_insts)
 {
     compiler::CompileOptions copt;
     copt.scheduler = compiler::SchedulerKind::Local;
     copt.numClusters = 2;
     const auto out = compiler::compile(program, copt);
-    return harness::simulate(out.binary, out.hardwareMap(2),
-                             core::ProcessorConfig::dualCluster8(), 42,
-                             max_insts);
+    return runner::requireOk(
+        runner::simulate(out.binary, out.hardwareMap(2),
+                         core::ProcessorConfig::dualCluster8(), 42,
+                         max_insts),
+        program.name);
 }
 
 /** Demote every global candidate to a local candidate. */
@@ -77,10 +81,9 @@ int
 main(int argc, char **argv)
 {
     workloads::WorkloadParams wp;
-    wp.scale = argc > 1 ? std::atof(argv[1]) : 0.2;
+    wp.scale = positionalDouble(argc, argv, 1, "scale", 0.2);
     const std::uint64_t max_insts =
-        argc > 2 ? static_cast<std::uint64_t>(std::atoll(argv[2]))
-                 : 100'000;
+        positionalUnsigned(argc, argv, 2, "max_insts", 100'000);
 
     std::cout << "Ablation: global-register designation (dual-cluster, "
                  "local scheduler)\n  cell = cycles (dual-distributed "
@@ -91,7 +94,7 @@ main(int argc, char **argv)
                   "+2 hot values", "+4 hot values"});
     for (const auto &bench : workloads::allBenchmarks()) {
         const auto base = bench.make(wp);
-        auto cell = [&](harness::RunStats s) {
+        auto cell = [&](const runner::JobResult &s) {
             const double total =
                 static_cast<double>(s.distSingle + s.distDual);
             return std::to_string(s.cycles) + " (" +

@@ -10,12 +10,15 @@
  * Usage: ablation_mshr [scale] [max_insts]
  */
 
-#include <cstdlib>
 #include <iostream>
 
 #include "compiler/pipeline.hh"
-#include "harness/experiment.hh"
+#include "core/processor.hh"
+#include "exec/trace.hh"
+#include "support/flags.hh"
+#include "support/stats.hh"
 #include "support/table.hh"
+#include "workloads/workloads.hh"
 
 int
 main(int argc, char **argv)
@@ -23,10 +26,9 @@ main(int argc, char **argv)
     using namespace mca;
 
     workloads::WorkloadParams wp;
-    wp.scale = argc > 1 ? std::atof(argv[1]) : 0.2;
+    wp.scale = positionalDouble(argc, argv, 1, "scale", 0.2);
     const std::uint64_t max_insts =
-        argc > 2 ? static_cast<std::uint64_t>(std::atoll(argv[2]))
-                 : 100'000;
+        positionalUnsigned(argc, argv, 2, "max_insts", 100'000);
 
     std::cout << "Ablation: data-cache miss handling (single-cluster "
                  "8-way machine)\n  cell = cycles (MSHR reject polls)\n\n";

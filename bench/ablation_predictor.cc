@@ -8,12 +8,13 @@
  * Usage: ablation_predictor [scale] [max_insts]
  */
 
-#include <cstdlib>
 #include <iostream>
 
 #include "compiler/pipeline.hh"
-#include "harness/experiment.hh"
+#include "runner/jobspec.hh"
+#include "support/flags.hh"
 #include "support/table.hh"
+#include "workloads/workloads.hh"
 
 namespace
 {
@@ -21,25 +22,15 @@ namespace
 using namespace mca;
 using Kind = core::ProcessorConfig::PredictorKind;
 
-struct Cell
-{
-    Cycle cycles;
-    double accuracy;
-};
-
-Cell
+runner::JobResult
 run(const prog::MachProgram &binary, const isa::RegisterMap &map,
-    Kind kind, std::uint64_t max_insts, bool spec_history = false)
+    Kind kind, std::uint64_t max_insts, bool spec_history)
 {
     auto cfg = core::ProcessorConfig::singleCluster8();
-    cfg.regMap = map;
     cfg.predictor = kind;
     cfg.speculativeHistory = spec_history;
-    StatGroup stats("p");
-    exec::ProgramTrace trace(binary, 42, max_insts);
-    core::Processor cpu(cfg, trace, stats);
-    const auto result = cpu.run(100'000'000);
-    return Cell{result.cycles, stats.formulaAt("bpred.accuracy")};
+    return runner::requireOk(
+        runner::simulate(binary, map, cfg, 42, max_insts), binary.name);
 }
 
 } // namespace
@@ -48,10 +39,9 @@ int
 main(int argc, char **argv)
 {
     workloads::WorkloadParams wp;
-    wp.scale = argc > 1 ? std::atof(argv[1]) : 0.2;
+    wp.scale = positionalDouble(argc, argv, 1, "scale", 0.2);
     const std::uint64_t max_insts =
-        argc > 2 ? static_cast<std::uint64_t>(std::atoll(argv[2]))
-                 : 100'000;
+        positionalUnsigned(argc, argv, 2, "max_insts", 100'000);
 
     std::cout << "Ablation: branch predictor organization "
                  "(single-cluster 8-way)\n  cell = cycles / accuracy\n\n";
@@ -88,7 +78,7 @@ main(int argc, char **argv)
             const auto c = run(out.binary, out.hardwareMap(1), v.kind,
                                max_insts, v.specHistory);
             cells.push_back(std::to_string(c.cycles) + " / " +
-                            TextTable::num(c.accuracy, 3));
+                            TextTable::num(c.bpredAccuracy, 3));
         }
         table.row(cells);
     }

@@ -10,12 +10,13 @@
  * Usage: ablation_queues [scale] [max_insts]
  */
 
-#include <cstdlib>
 #include <iostream>
 
 #include "compiler/pipeline.hh"
-#include "harness/experiment.hh"
+#include "runner/jobspec.hh"
+#include "support/flags.hh"
 #include "support/table.hh"
+#include "workloads/workloads.hh"
 
 int
 main(int argc, char **argv)
@@ -23,10 +24,9 @@ main(int argc, char **argv)
     using namespace mca;
 
     workloads::WorkloadParams wp;
-    wp.scale = argc > 1 ? std::atof(argv[1]) : 0.2;
+    wp.scale = positionalDouble(argc, argv, 1, "scale", 0.2);
     const std::uint64_t max_insts =
-        argc > 2 ? static_cast<std::uint64_t>(std::atoll(argv[2]))
-                 : 100'000;
+        positionalUnsigned(argc, argv, 2, "max_insts", 100'000);
 
     std::cout << "Ablation: single-cluster dispatch-queue size\n"
               << "  cell = cycles / bpred accuracy / dcache miss% / "
@@ -51,21 +51,15 @@ main(int argc, char **argv)
         for (unsigned s : sizes) {
             auto cfg = core::ProcessorConfig::singleCluster8();
             cfg.dispatchQueueEntries = s;
-            cfg.regMap = out.hardwareMap(1);
-            StatGroup stats(bench.name);
-            exec::ProgramTrace trace(out.binary, 42, max_insts);
-            core::Processor cpu(cfg, trace, stats);
-            const auto result = cpu.run(50'000'000);
-            const auto dacc = stats.counterAt("dcache.accesses").value();
-            const auto dmiss = stats.counterAt("dcache.misses").value();
-            cells.push_back(
-                std::to_string(result.cycles) + " / " +
-                TextTable::num(stats.formulaAt("bpred.accuracy"), 3) +
-                " / " +
-                TextTable::num(dacc ? 100.0 * dmiss / dacc : 0.0, 1) +
-                " / " +
-                std::to_string(
-                    stats.counterAt("issue.disorder").value() / 1000));
+            const auto r = runner::requireOk(
+                runner::simulate(out.binary, out.hardwareMap(1), cfg, 42,
+                                 max_insts, 50'000'000),
+                bench.name);
+            cells.push_back(std::to_string(r.cycles) + " / " +
+                            TextTable::num(r.bpredAccuracy, 3) + " / " +
+                            TextTable::num(100.0 * r.dcacheMissRate, 1) +
+                            " / " +
+                            std::to_string(r.issueDisorder / 1000));
         }
         table.row(cells);
     }

@@ -15,37 +15,27 @@
  * Usage: ablation_reserve [scale] [max_insts]
  */
 
-#include <cstdlib>
 #include <iostream>
 
 #include "compiler/pipeline.hh"
-#include "harness/experiment.hh"
+#include "runner/jobspec.hh"
+#include "support/flags.hh"
 #include "support/table.hh"
+#include "workloads/workloads.hh"
 
 namespace
 {
 
 using namespace mca;
 
-struct Cell
-{
-    Cycle cycles;
-    std::uint64_t replays;
-};
-
-Cell
+runner::JobResult
 run(const prog::MachProgram &binary, const isa::RegisterMap &map,
     bool reserve, std::uint64_t max_insts)
 {
     auto cfg = core::ProcessorConfig::dualCluster8();
-    cfg.regMap = map;
     cfg.reserveOldestEntry = reserve;
-    StatGroup stats("r");
-    exec::ProgramTrace trace(binary, 42, max_insts);
-    core::Processor cpu(cfg, trace, stats);
-    const auto result = cpu.run(100'000'000);
-    return Cell{result.cycles,
-                stats.counterAt("replay.exceptions").value()};
+    return runner::requireOk(
+        runner::simulate(binary, map, cfg, 42, max_insts), binary.name);
 }
 
 } // namespace
@@ -54,10 +44,9 @@ int
 main(int argc, char **argv)
 {
     workloads::WorkloadParams wp;
-    wp.scale = argc > 1 ? std::atof(argv[1]) : 0.2;
+    wp.scale = positionalDouble(argc, argv, 1, "scale", 0.2);
     const std::uint64_t max_insts =
-        argc > 2 ? static_cast<std::uint64_t>(std::atoll(argv[2]))
-                 : 100'000;
+        positionalUnsigned(argc, argv, 2, "max_insts", 100'000);
 
     std::cout << "Ablation: deadlock policy — replay exceptions (paper) "
                  "vs an\noldest-reserved transfer-buffer entry "

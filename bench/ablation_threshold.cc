@@ -14,11 +14,12 @@
  * Usage: ablation_threshold [scale] [max_insts] [jobs]
  */
 
-#include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <thread>
 
 #include "runner/campaign.hh"
+#include "support/flags.hh"
 #include "support/table.hh"
 
 int
@@ -26,15 +27,15 @@ main(int argc, char **argv)
 {
     using namespace mca;
 
-    const double scale = argc > 1 ? std::atof(argv[1]) : 0.2;
+    const double scale = positionalDouble(argc, argv, 1, "scale", 0.2);
     const std::uint64_t maxInsts =
-        argc > 2 ? static_cast<std::uint64_t>(std::atoll(argv[2]))
-                 : 100'000;
+        positionalUnsigned(argc, argv, 2, "max_insts", 100'000);
 
     runner::CampaignOptions campaign;
-    campaign.jobs = argc > 3
-                        ? static_cast<unsigned>(std::atoi(argv[3]))
-                        : std::max(1u, std::thread::hardware_concurrency());
+    campaign.jobs = static_cast<unsigned>(positionalUnsigned(
+        argc, argv, 3, "jobs",
+        std::max(1u, std::thread::hardware_concurrency()),
+        std::numeric_limits<unsigned>::max()));
 
     const unsigned thresholds[] = {1, 2, 4, 8, 16, 32};
 

@@ -10,10 +10,10 @@
  * Usage: cycletime_analysis [scale] [max_insts]
  */
 
-#include <cstdlib>
 #include <iostream>
 
-#include "harness/experiment.hh"
+#include "runner/table2.hh"
+#include "support/flags.hh"
 #include "support/table.hh"
 #include "timing/delay_model.hh"
 
@@ -55,10 +55,11 @@ main(int argc, char **argv)
 
     // Net effect per benchmark, using measured dual/local slowdowns.
     harness::ExperimentOptions opt;
-    opt.workload.scale = argc > 1 ? std::atof(argv[1]) : 0.2;
-    opt.maxInsts = argc > 2
-                       ? static_cast<std::uint64_t>(std::atoll(argv[2]))
-                       : 100'000;
+    opt.workload.scale = positionalDouble(argc, argv, 1, "scale", 0.2);
+    opt.maxInsts = positionalUnsigned(argc, argv, 2, "max_insts", 100'000);
+    const auto result = runner::runTable2Campaign(opt, {});
+    for (const auto &job : result.jobs)
+        runner::requireOk(job, job.spec.benchmark);
 
     std::cout << "\nNet run-time speedup of the dual-cluster machine "
                  "(local scheduler),\ncombining the measured cycle "
@@ -68,8 +69,7 @@ main(int argc, char **argv)
     net.header({"benchmark", "cycle ratio", "net @ 0.35um",
                 "net @ 0.25um", "net @ 0.18um"});
     double worst_ratio = 1.0;
-    for (const auto &bench : workloads::allBenchmarks()) {
-        const auto row = harness::runTable2Row(bench, opt);
+    for (const auto &row : result.rows) {
         const double ratio =
             static_cast<double>(row.dualLocal.cycles) /
             static_cast<double>(row.single.cycles);

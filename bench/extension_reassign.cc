@@ -16,12 +16,13 @@
  * Usage: extension_reassign [iters-per-phase]
  */
 
-#include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <vector>
 
 #include "core/processor.hh"
 #include "exec/trace.hh"
+#include "support/flags.hh"
 #include "support/stats.hh"
 #include "support/table.hh"
 
@@ -113,8 +114,9 @@ simulate(unsigned iters, bool with_remap)
 int
 main(int argc, char **argv)
 {
-    const unsigned iters =
-        argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 2000;
+    const auto iters = static_cast<unsigned>(
+        positionalUnsigned(argc, argv, 1, "iters", 2000,
+                           std::numeric_limits<unsigned>::max()));
 
     std::cout << "Extension: dynamic register reassignment (paper §6)\n"
               << "  two-phase workload, " << iters

@@ -13,12 +13,13 @@
  * Usage: extension_superblock [scale] [max_insts]
  */
 
-#include <cstdlib>
 #include <iostream>
 
 #include "compiler/pipeline.hh"
-#include "harness/experiment.hh"
+#include "runner/jobspec.hh"
+#include "support/flags.hh"
 #include "support/table.hh"
+#include "workloads/workloads.hh"
 
 namespace
 {
@@ -47,12 +48,16 @@ localPct(const prog::Program &program, bool superblocks,
     lopt.superblocks = superblocks;
     const auto local = compiler::compile(program, lopt);
 
-    const auto single = harness::simulate(
-        native.binary, native.hardwareMap(1),
-        core::ProcessorConfig::singleCluster8(), 42, max_insts);
-    const auto dual = harness::simulate(
-        local.binary, local.hardwareMap(2),
-        core::ProcessorConfig::dualCluster8(), 42, max_insts);
+    const auto single = runner::requireOk(
+        runner::simulate(native.binary, native.hardwareMap(1),
+                         core::ProcessorConfig::singleCluster8(), 42,
+                         max_insts),
+        program.name);
+    const auto dual = runner::requireOk(
+        runner::simulate(local.binary, local.hardwareMap(2),
+                         core::ProcessorConfig::dualCluster8(), 42,
+                         max_insts),
+        program.name);
     const double total =
         static_cast<double>(dual.distSingle + dual.distDual);
     return Cell{100.0 - 100.0 * static_cast<double>(dual.cycles) /
@@ -66,10 +71,9 @@ int
 main(int argc, char **argv)
 {
     workloads::WorkloadParams wp;
-    wp.scale = argc > 1 ? std::atof(argv[1]) : 0.2;
+    wp.scale = positionalDouble(argc, argv, 1, "scale", 0.2);
     const std::uint64_t max_insts =
-        argc > 2 ? static_cast<std::uint64_t>(std::atoll(argv[2]))
-                 : 100'000;
+        positionalUnsigned(argc, argv, 2, "max_insts", 100'000);
 
     std::cout << "Extension: superblock formation (paper §6)\n"
               << "  cell = local speedup% (dual-dist%)\n\n";

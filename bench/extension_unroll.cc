@@ -9,59 +9,49 @@
  * For each benchmark and unroll factor: the unrolled program is
  * compiled both ways and the Table-2 ratio recomputed (single-cluster
  * baseline also runs the unrolled binary, so the comparison isolates
- * the clustering effect).
+ * the clustering effect). Every point is a JobSpec, so the sweep runs
+ * as one spec list through runner::runCampaign.
  *
  * Usage: extension_unroll [scale] [max_insts]
  */
 
-#include <cstdlib>
 #include <iostream>
+#include <iterator>
+#include <string>
+#include <vector>
 
-#include "compiler/pipeline.hh"
-#include "harness/experiment.hh"
+#include "runner/campaign.hh"
+#include "support/flags.hh"
 #include "support/table.hh"
-
-namespace
-{
-
-using namespace mca;
-
-double
-localPct(const prog::Program &program, unsigned factor,
-         std::uint64_t max_insts)
-{
-    compiler::CompileOptions nopt;
-    nopt.scheduler = compiler::SchedulerKind::Native;
-    nopt.numClusters = 1;
-    nopt.unrollFactor = factor;
-    const auto native = compiler::compile(program, nopt);
-
-    compiler::CompileOptions lopt;
-    lopt.scheduler = compiler::SchedulerKind::Local;
-    lopt.numClusters = 2;
-    lopt.unrollFactor = factor;
-    const auto local = compiler::compile(program, lopt);
-
-    const auto single = harness::simulate(
-        native.binary, native.hardwareMap(1),
-        core::ProcessorConfig::singleCluster8(), 42, max_insts);
-    const auto dual = harness::simulate(
-        local.binary, local.hardwareMap(2),
-        core::ProcessorConfig::dualCluster8(), 42, max_insts);
-    return 100.0 - 100.0 * static_cast<double>(dual.cycles) /
-                       static_cast<double>(single.cycles);
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
-    workloads::WorkloadParams wp;
-    wp.scale = argc > 1 ? std::atof(argv[1]) : 0.2;
+    using namespace mca;
+
+    const double scale = positionalDouble(argc, argv, 1, "scale", 0.2);
     const std::uint64_t max_insts =
-        argc > 2 ? static_cast<std::uint64_t>(std::atoll(argv[2]))
-                 : 100'000;
+        positionalUnsigned(argc, argv, 2, "max_insts", 100'000);
+    const unsigned factors[] = {1, 2, 4};
+
+    // Per benchmark and unroll factor: native/single8, then local/dual8.
+    std::vector<runner::JobSpec> specs;
+    for (const auto &name : runner::validBenchmarks())
+        for (unsigned factor : factors)
+            for (const std::string scheduler : {"native", "local"}) {
+                runner::JobSpec spec;
+                spec.benchmark = name;
+                spec.scale = scale;
+                spec.machine = scheduler == "native" ? "single8" : "dual8";
+                spec.scheduler = scheduler;
+                spec.unroll = factor;
+                spec.profileSeed = 1; // the CompileOptions default
+                spec.maxInsts = max_insts;
+                specs.push_back(spec);
+            }
+    const auto results = runner::runCampaign(specs, {});
+    for (const auto &r : results)
+        runner::requireOk(r, r.spec.benchmark);
 
     std::cout << "Extension: loop unrolling (paper §6)\n"
               << "  cell = local-scheduler speedup% vs the single "
@@ -69,15 +59,13 @@ main(int argc, char **argv)
 
     TextTable table;
     table.header({"benchmark", "U=1 (Table 2)", "U=2", "U=4"});
-    for (const auto &bench : workloads::allBenchmarks()) {
-        const auto program = bench.make(wp);
-        table.row({bench.name,
-                   TextTable::signedPercent(localPct(program, 1,
-                                                     max_insts)),
-                   TextTable::signedPercent(localPct(program, 2,
-                                                     max_insts)),
-                   TextTable::signedPercent(localPct(program, 4,
-                                                     max_insts))});
+    for (std::size_t i = 0; i < results.size();) {
+        std::vector<std::string> cells = {results[i].spec.benchmark};
+        for (std::size_t k = 0; k < std::size(factors); ++k, i += 2)
+            cells.push_back(TextTable::signedPercent(
+                100.0 - 100.0 * static_cast<double>(results[i + 1].cycles) /
+                            static_cast<double>(results[i].cycles)));
+        table.row(cells);
     }
     table.print(std::cout);
     std::cout << "\n(Only counted self-loops unroll; benchmarks whose "

@@ -17,11 +17,14 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "obs/cycle_stack.hh"
 #include "runner/campaign.hh"
+#include "support/flags.hh"
 #include "support/table.hh"
 
 namespace
@@ -61,14 +64,21 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
-        if (arg == "--scale")
-            scale = std::atof(next());
-        else if (arg == "--max-insts")
-            max_insts = std::strtoull(next(), nullptr, 10);
-        else if (arg == "--jobs")
-            jobs = static_cast<unsigned>(std::atoi(next()));
-        else {
-            std::cerr << "unknown argument: " << arg << "\n";
+        try {
+            if (arg == "--scale")
+                scale = parseDoubleFlag(next(), "--scale");
+            else if (arg == "--max-insts")
+                max_insts = parseUnsignedFlag(next(), "--max-insts");
+            else if (arg == "--jobs")
+                jobs = static_cast<unsigned>(parseUnsignedFlag(
+                    next(), "--jobs",
+                    std::numeric_limits<unsigned>::max()));
+            else {
+                std::cerr << "unknown argument: " << arg << "\n";
+                return 2;
+            }
+        } catch (const std::runtime_error &e) {
+            std::cerr << "fatal: " << e.what() << "\n";
             return 2;
         }
     }

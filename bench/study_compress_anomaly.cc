@@ -16,44 +16,32 @@
  * Usage: study_compress_anomaly [scale] [max_insts]
  */
 
-#include <cstdlib>
 #include <iostream>
 
 #include "compiler/pipeline.hh"
-#include "harness/experiment.hh"
+#include "runner/jobspec.hh"
+#include "support/flags.hh"
 #include "support/table.hh"
+#include "workloads/workloads.hh"
 
 namespace
 {
 
 using namespace mca;
 
-struct Row
+/** One table row: cycles / bpred accuracy / dmiss% / disorder(k). */
+std::vector<std::string>
+run(const std::string &label, const prog::MachProgram &binary,
+    const isa::RegisterMap &map, core::ProcessorConfig cfg,
+    bool spec_history, std::uint64_t max_insts)
 {
-    Cycle cycles;
-    double bpred;
-    double dmiss;
-    std::uint64_t disorder;
-};
-
-Row
-run(const prog::MachProgram &binary, const isa::RegisterMap &map,
-    core::ProcessorConfig cfg, bool spec_history,
-    std::uint64_t max_insts)
-{
-    cfg.regMap = map;
     cfg.speculativeHistory = spec_history;
-    StatGroup stats("s");
-    exec::ProgramTrace trace(binary, 42, max_insts);
-    core::Processor cpu(cfg, trace, stats);
-    const auto result = cpu.run(100'000'000);
-    const auto dacc = stats.counterAt("dcache.accesses").value();
-    const auto dmiss = stats.counterAt("dcache.misses").value();
-    return Row{result.cycles, stats.formulaAt("bpred.accuracy"),
-               dacc ? 100.0 * static_cast<double>(dmiss) /
-                          static_cast<double>(dacc)
-                    : 0.0,
-               stats.counterAt("issue.disorder").value()};
+    const auto r = runner::requireOk(
+        runner::simulate(binary, map, cfg, 42, max_insts), label);
+    return {label, std::to_string(r.cycles),
+            TextTable::num(r.bpredAccuracy, 3),
+            TextTable::num(100.0 * r.dcacheMissRate, 1),
+            std::to_string(r.issueDisorder / 1000) + "k"};
 }
 
 } // namespace
@@ -62,10 +50,9 @@ int
 main(int argc, char **argv)
 {
     workloads::WorkloadParams wp;
-    wp.scale = argc > 1 ? std::atof(argv[1]) : 0.2;
+    wp.scale = positionalDouble(argc, argv, 1, "scale", 0.2);
     const std::uint64_t max_insts =
-        argc > 2 ? static_cast<std::uint64_t>(std::atoll(argv[2]))
-                 : 100'000;
+        positionalUnsigned(argc, argv, 2, "max_insts", 100'000);
 
     const auto program = workloads::makeCompress(wp);
     compiler::CompileOptions nopt;
@@ -90,39 +77,20 @@ main(int argc, char **argv)
     for (unsigned q : {32u, 64u, 128u, 256u}) {
         auto cfg = core::ProcessorConfig::singleCluster8();
         cfg.dispatchQueueEntries = q;
-        const auto r = run(native.binary, native.hardwareMap(1), cfg,
-                           false, max_insts);
-        table.row({"single, Q=" + std::to_string(q),
-                   std::to_string(r.cycles), TextTable::num(r.bpred, 3),
-                   TextTable::num(r.dmiss, 1),
-                   std::to_string(r.disorder / 1000) + "k"});
+        table.row(run("single, Q=" + std::to_string(q), native.binary,
+                      native.hardwareMap(1), cfg, false, max_insts));
     }
-    {
-        auto cfg = core::ProcessorConfig::singleCluster8();
-        const auto r = run(native.binary, native.hardwareMap(1), cfg,
-                           true, max_insts);
-        table.row({"single, Q=128, spec. history",
-                   std::to_string(r.cycles), TextTable::num(r.bpred, 3),
-                   TextTable::num(r.dmiss, 1),
-                   std::to_string(r.disorder / 1000) + "k"});
-    }
+    table.row(run("single, Q=128, spec. history", native.binary,
+                  native.hardwareMap(1),
+                  core::ProcessorConfig::singleCluster8(), true,
+                  max_insts));
     table.separator();
-    {
-        const auto r = run(local.binary, local.hardwareMap(2),
-                           core::ProcessorConfig::dualCluster8(), false,
-                           max_insts);
-        table.row({"dual, local scheduler", std::to_string(r.cycles),
-                   TextTable::num(r.bpred, 3), TextTable::num(r.dmiss, 1),
-                   std::to_string(r.disorder / 1000) + "k"});
-    }
-    {
-        const auto r = run(local.binary, local.hardwareMap(2),
-                           core::ProcessorConfig::dualCluster8(), true,
-                           max_insts);
-        table.row({"dual, local, spec. history", std::to_string(r.cycles),
-                   TextTable::num(r.bpred, 3), TextTable::num(r.dmiss, 1),
-                   std::to_string(r.disorder / 1000) + "k"});
-    }
+    table.row(run("dual, local scheduler", local.binary,
+                  local.hardwareMap(2),
+                  core::ProcessorConfig::dualCluster8(), false, max_insts));
+    table.row(run("dual, local, spec. history", local.binary,
+                  local.hardwareMap(2),
+                  core::ProcessorConfig::dualCluster8(), true, max_insts));
     table.print(std::cout);
 
     std::cout

@@ -9,10 +9,10 @@
  * Usage: table2_fourway [scale] [max_insts]
  */
 
-#include <cstdlib>
 #include <iostream>
 
-#include "harness/experiment.hh"
+#include "runner/table2.hh"
+#include "support/flags.hh"
 #include "support/table.hh"
 
 int
@@ -21,11 +21,12 @@ main(int argc, char **argv)
     using namespace mca;
 
     harness::ExperimentOptions opt;
-    opt.workload.scale = argc > 1 ? std::atof(argv[1]) : 0.2;
-    opt.maxInsts = argc > 2
-                       ? static_cast<std::uint64_t>(std::atoll(argv[2]))
-                       : 100'000;
+    opt.workload.scale = positionalDouble(argc, argv, 1, "scale", 0.2);
+    opt.maxInsts = positionalUnsigned(argc, argv, 2, "max_insts", 100'000);
     opt.eightWay = false;
+    const auto result = runner::runTable2Campaign(opt, {});
+    for (const auto &job : result.jobs)
+        runner::requireOk(job, job.spec.benchmark);
 
     std::cout << "Table 2 (4-way machines): dual-cluster speedup "
                  "ratios\n\n";
@@ -33,8 +34,7 @@ main(int argc, char **argv)
     TextTable table;
     table.header({"benchmark", "none", "local", "single cycles",
                   "dual-none cycles", "dual-local cycles"});
-    for (const auto &bench : workloads::allBenchmarks()) {
-        const auto row = harness::runTable2Row(bench, opt);
+    for (const auto &row : result.rows) {
         table.row({row.benchmark, TextTable::signedPercent(row.pctNone),
                    TextTable::signedPercent(row.pctLocal),
                    std::to_string(row.single.cycles),

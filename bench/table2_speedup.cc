@@ -22,11 +22,12 @@
  *   jobs defaults to the hardware thread count.
  */
 
-#include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <thread>
 
 #include "runner/table2.hh"
+#include "support/flags.hh"
 #include "support/table.hh"
 
 int
@@ -35,15 +36,14 @@ main(int argc, char **argv)
     using namespace mca;
 
     harness::ExperimentOptions opt;
-    opt.workload.scale = argc > 1 ? std::atof(argv[1]) : 1.0;
-    opt.maxInsts = argc > 2
-                       ? static_cast<std::uint64_t>(std::atoll(argv[2]))
-                       : 400'000;
+    opt.workload.scale = positionalDouble(argc, argv, 1, "scale", 1.0);
+    opt.maxInsts = positionalUnsigned(argc, argv, 2, "max_insts", 400'000);
 
     runner::CampaignOptions campaign;
-    campaign.jobs = argc > 3
-                        ? static_cast<unsigned>(std::atoi(argv[3]))
-                        : std::max(1u, std::thread::hardware_concurrency());
+    campaign.jobs = static_cast<unsigned>(positionalUnsigned(
+        argc, argv, 3, "jobs",
+        std::max(1u, std::thread::hardware_concurrency()),
+        std::numeric_limits<unsigned>::max()));
 
     std::cout << "Table 2: dual-cluster speedup ratios, 8-way machines\n"
               << "  100 - 100*(cycles_dual / cycles_single); "
@@ -80,7 +80,7 @@ main(int argc, char **argv)
                  "spill ld/st", "bpred s/n/l", "dmiss% s/n/l",
                  "disorder s/l"});
     for (const auto &row : result.rows) {
-        auto dualPct = [](const harness::RunStats &s) {
+        auto dualPct = [](const runner::JobResult &s) {
             const double total =
                 static_cast<double>(s.distSingle + s.distDual);
             return total == 0 ? 0.0 : 100.0 * s.distDual / total;

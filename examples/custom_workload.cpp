@@ -14,7 +14,7 @@
 #include <iostream>
 
 #include "compiler/pipeline.hh"
-#include "harness/experiment.hh"
+#include "runner/jobspec.hh"
 #include "prog/builder.hh"
 
 int
@@ -137,12 +137,16 @@ main()
               << local.alloc.otherClusterSpills
               << " ranges recolored into the other cluster\n\n";
 
-    const auto single = harness::simulate(
-        native.binary, native.hardwareMap(1),
-        core::ProcessorConfig::singleCluster8(), 9, 500'000);
-    const auto dual = harness::simulate(
-        local.binary, local.hardwareMap(2),
-        core::ProcessorConfig::dualCluster8(), 9, 500'000);
+    const auto single = runner::requireOk(
+        runner::simulate(native.binary, native.hardwareMap(1),
+                         core::ProcessorConfig::singleCluster8(), 9,
+                         500'000),
+        program.name);
+    const auto dual = runner::requireOk(
+        runner::simulate(local.binary, local.hardwareMap(2),
+                         core::ProcessorConfig::dualCluster8(), 9,
+                         500'000),
+        program.name);
 
     std::cout << "single cluster: " << single.cycles << " cycles (ipc "
               << single.ipc << ")\n"

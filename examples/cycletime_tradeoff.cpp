@@ -4,17 +4,18 @@
  * question for *your* workload — "at which feature size does the
  * multicluster organization win?"
  *
- * Runs one benchmark through the Table-2 methodology, then sweeps
- * feature sizes to find the crossover where the dual-cluster machine's
- * faster clock outweighs its extra cycles.
+ * Runs one benchmark's three Table-2 jobs through the campaign runner,
+ * then sweeps feature sizes to find the crossover where the
+ * dual-cluster machine's faster clock outweighs its extra cycles.
  *
  * Usage: cycletime_tradeoff [benchmark] [scale]
  */
 
-#include <cstdlib>
+#include <cmath>
 #include <iostream>
 
-#include "harness/experiment.hh"
+#include "runner/table2.hh"
+#include "support/flags.hh"
 #include "support/table.hh"
 #include "timing/delay_model.hh"
 
@@ -25,11 +26,21 @@ main(int argc, char **argv)
 
     const std::string bench_name = argc > 1 ? argv[1] : "tomcatv";
     harness::ExperimentOptions opt;
-    opt.workload.scale = argc > 2 ? std::atof(argv[2]) : 0.2;
+    opt.workload.scale = positionalDouble(argc, argv, 2, "scale", 0.2);
     opt.maxInsts = 150'000;
 
-    const auto row = harness::runTable2Row(
-        workloads::benchmarkByName(bench_name), opt);
+    std::vector<runner::JobSpec> specs;
+    for (const auto &spec : runner::table2Jobs(opt))
+        if (spec.benchmark == bench_name)
+            specs.push_back(spec);
+    if (specs.empty()) {
+        std::cerr << "fatal: unknown benchmark '" << bench_name << "'\n";
+        return 1;
+    }
+    const auto jobs = runner::runCampaign(specs, {});
+    for (const auto &job : jobs)
+        runner::requireOk(job, bench_name);
+    const auto row = runner::assembleTable2Rows(jobs).front();
     const double ratio = static_cast<double>(row.dualLocal.cycles) /
                          static_cast<double>(row.single.cycles);
 

@@ -12,7 +12,7 @@
 #include <iostream>
 
 #include "compiler/pipeline.hh"
-#include "harness/experiment.hh"
+#include "runner/jobspec.hh"
 #include "prog/builder.hh"
 
 int
@@ -80,17 +80,23 @@ main()
     const auto local = compiler::compile(program, local_opt);
 
     // --- 3. simulate ---------------------------------------------------
-    const auto single = harness::simulate(
-        native.binary, native.hardwareMap(1),
-        core::ProcessorConfig::singleCluster8(), 42, 1'000'000);
-    const auto dual_none = harness::simulate(
-        native.binary, native.hardwareMap(2),
-        core::ProcessorConfig::dualCluster8(), 42, 1'000'000);
-    const auto dual_local = harness::simulate(
-        local.binary, local.hardwareMap(2),
-        core::ProcessorConfig::dualCluster8(), 42, 1'000'000);
+    // runner::simulate reports TimedOut when the cycle budget runs out;
+    // requireOk turns that into an error instead of a partial count.
+    const auto run = [](const compiler::CompileOutput &out,
+                        unsigned clusters, core::ProcessorConfig cfg) {
+        return runner::requireOk(
+            runner::simulate(out.binary, out.hardwareMap(clusters), cfg,
+                             42, 1'000'000),
+            "quickstart");
+    };
+    const auto single =
+        run(native, 1, core::ProcessorConfig::singleCluster8());
+    const auto dual_none =
+        run(native, 2, core::ProcessorConfig::dualCluster8());
+    const auto dual_local =
+        run(local, 2, core::ProcessorConfig::dualCluster8());
 
-    auto report = [&](const char *name, const harness::RunStats &s) {
+    auto report = [&](const char *name, const runner::JobResult &s) {
         std::cout << name << ": " << s.cycles << " cycles, ipc "
                   << s.ipc << ", dual-distributed " << s.distDual
                   << " of " << (s.distSingle + s.distDual)

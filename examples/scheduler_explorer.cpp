@@ -5,86 +5,63 @@
  * Compares the three partitioners (native/cluster-unaware, round-robin,
  * and the paper's local scheduler) across imbalance thresholds, and
  * reports cycles, dual-distribution rate, transfer traffic, and spill
- * cost — the trade-off space of §3.
+ * cost — the trade-off space of §3. Each variant is a JobSpec, so the
+ * six run as one spec list through runner::runCampaign.
  *
  * Usage: scheduler_explorer [benchmark] [scale]
  */
 
-#include <cstdlib>
 #include <iostream>
+#include <string>
+#include <vector>
 
-#include "compiler/pipeline.hh"
-#include "harness/experiment.hh"
+#include "runner/campaign.hh"
+#include "support/flags.hh"
 #include "support/table.hh"
-#include "workloads/workloads.hh"
-
-namespace
-{
-
-using namespace mca;
-
-struct Variant
-{
-    std::string name;
-    compiler::CompileOptions options;
-};
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
+    using namespace mca;
+
     const std::string bench_name = argc > 1 ? argv[1] : "compress";
-    workloads::WorkloadParams wp;
-    wp.scale = argc > 2 ? std::atof(argv[2]) : 0.2;
 
-    const auto program =
-        workloads::benchmarkByName(bench_name).make(wp);
-
-    std::vector<Variant> variants;
-    {
-        Variant v;
-        v.name = "native (cluster-unaware)";
-        v.options.scheduler = compiler::SchedulerKind::Native;
-        v.options.numClusters = 1;
-        variants.push_back(v);
-    }
-    {
-        Variant v;
-        v.name = "round-robin";
-        v.options.scheduler = compiler::SchedulerKind::RoundRobin;
-        v.options.numClusters = 2;
-        variants.push_back(v);
-    }
+    // Every variant is one JobSpec on the dual-cluster 8-way machine.
+    runner::JobSpec base;
+    base.benchmark = bench_name;
+    base.scale = positionalDouble(argc, argv, 2, "scale", 0.2);
+    base.machine = "dual8";
+    base.profileSeed = 1; // the CompileOptions default
+    base.maxInsts = 300'000;
+    std::vector<std::string> names = {"native (cluster-unaware)",
+                                      "round-robin"};
+    std::vector<runner::JobSpec> specs = {base, base};
+    specs[0].scheduler = "native";
+    specs[1].scheduler = "roundrobin";
     for (unsigned t : {1u, 2u, 4u, 8u}) {
-        Variant v;
-        v.name = "local, threshold " + std::to_string(t);
-        v.options.scheduler = compiler::SchedulerKind::Local;
-        v.options.numClusters = 2;
-        v.options.imbalanceThreshold = t;
-        variants.push_back(v);
+        names.push_back("local, threshold " + std::to_string(t));
+        specs.push_back(base);
+        specs.back().threshold = t;
     }
+    const auto results = runner::runCampaign(specs, {});
 
     std::cout << "Scheduler exploration on '" << bench_name
               << "' (dual-cluster 8-way machine)\n\n";
     TextTable table;
     table.header({"scheduler", "cycles", "ipc", "dual%", "op-fwd",
                   "res-fwd", "spill ld/st", "replays"});
-    for (const auto &v : variants) {
-        const auto out = compiler::compile(program, v.options);
-        const auto s = harness::simulate(
-            out.binary, out.hardwareMap(2),
-            core::ProcessorConfig::dualCluster8(), 42, 300'000);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        const auto s = runner::requireOk(results[i], names[i]);
         const double total =
             static_cast<double>(s.distSingle + s.distDual);
-        table.row({v.name, std::to_string(s.cycles),
+        table.row({names[i], std::to_string(s.cycles),
                    TextTable::num(s.ipc, 2),
                    TextTable::num(total ? 100.0 * s.distDual / total : 0,
                                   1),
                    std::to_string(s.operandForwards),
                    std::to_string(s.resultForwards),
-                   std::to_string(out.alloc.spillLoadsInserted) + "/" +
-                       std::to_string(out.alloc.spillStoresInserted),
+                   std::to_string(s.spillLoads) + "/" +
+                       std::to_string(s.spillStores),
                    std::to_string(s.replays)});
     }
     table.print(std::cout);

@@ -9,16 +9,17 @@
  *   scheduler: native | local | roundrobin
  *
  * Demonstrates the full public API surface: workload generation, the
- * compilation pipeline, machine configuration, and the processor model.
+ * compilation pipeline, machine configuration, and a detailed run
+ * through runner::simulate that records into a caller-owned
+ * statistics registry.
  */
 
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
 #include "compiler/pipeline.hh"
-#include "core/processor.hh"
-#include "exec/trace.hh"
+#include "runner/jobspec.hh"
+#include "support/flags.hh"
 #include "support/stats.hh"
 #include "workloads/workloads.hh"
 
@@ -30,7 +31,7 @@ main(int argc, char **argv)
     const std::string bench_name = argc > 1 ? argv[1] : "compress";
     const std::string machine = argc > 2 ? argv[2] : "dual8";
     const std::string sched = argc > 3 ? argv[3] : "local";
-    const double scale = argc > 4 ? std::atof(argv[4]) : 0.2;
+    const double scale = positionalDouble(argc, argv, 4, "scale", 0.2);
 
     // 1. Generate the workload program.
     workloads::WorkloadParams wp;
@@ -74,17 +75,17 @@ main(int argc, char **argv)
     } else {
         cfg = core::ProcessorConfig::dualCluster8();
     }
-    cfg.regMap = out.hardwareMap(clusters);
+    const std::string label = bench_name + "@" + machine;
+    StatGroup stats(label);
+    const auto result = runner::requireOk(
+        runner::simulate(out.binary, out.hardwareMap(clusters), cfg, 42,
+                         400'000, 100'000'000, &stats),
+        label);
 
-    StatGroup stats(bench_name + "@" + machine);
-    exec::ProgramTrace trace(out.binary, 42, 400'000);
-    core::Processor cpu(cfg, trace, stats);
-    const auto result = cpu.run();
-
-    std::cout << "simulated " << result.instructions << " instructions in "
+    std::cout << "simulated " << result.retired << " instructions in "
               << result.cycles << " cycles (ipc "
               << (result.cycles
-                      ? static_cast<double>(result.instructions) /
+                      ? static_cast<double>(result.retired) /
                             static_cast<double>(result.cycles)
                       : 0.0)
               << ")\n\n";

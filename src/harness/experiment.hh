@@ -1,7 +1,7 @@
 /**
  * @file
- * Experiment harness: compile-and-simulate pipelines and the Table-2
- * experiment (the paper's headline result).
+ * The Table-2 experiment (the paper's headline result): its options,
+ * its row type and the published values.
  *
  * Methodology reproduced from §4: the *native* binary (cluster-unaware
  * compilation) runs on the single-cluster machine to give the baseline
@@ -10,6 +10,9 @@
  * scheduler runs on the dual-cluster machine (column "local"). The
  * reported percentage is 100 - 100 * (C_dual / C_single): positive =
  * speedup, negative = slowdown.
+ *
+ * runner::runTable2Campaign (runner/table2.hh) runs it. This header
+ * only names types and needs no library.
  */
 
 #ifndef MCA_HARNESS_EXPERIMENT_HH
@@ -18,52 +21,11 @@
 #include <string>
 #include <vector>
 
-#include "compiler/pipeline.hh"
-#include "core/config.hh"
-#include "core/processor.hh"
-#include "obs/cycle_stack.hh"
+#include "runner/jobspec.hh"
 #include "workloads/workloads.hh"
 
 namespace mca::harness
 {
-
-/** Flat snapshot of one simulation's key statistics. */
-struct RunStats
-{
-    Cycle cycles = 0;
-    std::uint64_t retired = 0;
-    double ipc = 0.0;
-    std::uint64_t distSingle = 0;
-    std::uint64_t distDual = 0;
-    std::uint64_t operandForwards = 0;
-    std::uint64_t resultForwards = 0;
-    std::uint64_t replays = 0;
-    std::uint64_t issueDisorder = 0;
-    double bpredAccuracy = 0.0;
-    double dcacheMissRate = 0.0;
-    double icacheMissRate = 0.0;
-    /** Shared-L2 local miss rate; 0 when the machine has no L2. */
-    double l2MissRate = 0.0;
-    bool completed = false;
-    /** Retire-slot stall attribution (always collected; cheap). */
-    obs::CycleStack cycleStack;
-};
-
-/**
- * Simulate one binary on one machine.
- *
- * @param binary   Compiled program.
- * @param map      Register-to-cluster map the hardware should use
- *                 (normally CompileOutput::hardwareMap()).
- * @param base     Machine configuration (regMap is overwritten).
- * @param trace_seed  Seed for the trace interpreter.
- * @param max_insts   Trace-length bound.
- */
-RunStats simulate(const prog::MachProgram &binary,
-                  const isa::RegisterMap &map,
-                  core::ProcessorConfig base, std::uint64_t trace_seed,
-                  std::uint64_t max_insts,
-                  Cycle max_cycles = 100'000'000);
 
 /** Per-benchmark options for the Table-2 experiment. */
 struct ExperimentOptions
@@ -80,22 +42,15 @@ struct ExperimentOptions
 struct Table2Row
 {
     std::string benchmark;
-    RunStats single;      ///< native binary, single-cluster machine
-    RunStats dualNone;    ///< native binary, dual-cluster machine
-    RunStats dualLocal;   ///< rescheduled binary, dual-cluster machine
-    double pctNone = 0.0; ///< 100 - 100*(dualNone/single)
+    runner::JobResult single;    ///< native binary, single-cluster machine
+    runner::JobResult dualNone;  ///< native binary, dual-cluster machine
+    runner::JobResult dualLocal; ///< rescheduled binary, dual-cluster machine
+    double pctNone = 0.0;        ///< 100 - 100*(dualNone/single)
     double pctLocal = 0.0;
     std::uint64_t spillLoadsLocal = 0;
     std::uint64_t spillStoresLocal = 0;
     std::uint64_t otherClusterSpills = 0;
 };
-
-/** Run one benchmark through the full Table-2 methodology. */
-Table2Row runTable2Row(const workloads::BenchmarkInfo &bench,
-                       const ExperimentOptions &options);
-
-/** Run all six benchmarks (Table-2 order). */
-std::vector<Table2Row> runTable2(const ExperimentOptions &options);
 
 /** The paper's published Table 2, for side-by-side printing. */
 struct PaperTable2Entry
@@ -106,7 +61,16 @@ struct PaperTable2Entry
 };
 
 /** Published values: {-14,+6},{-21,-15},{-15,-10},{-5,-22},{-36,-25},{-41,-19}. */
-const std::vector<PaperTable2Entry> &paperTable2();
+inline const std::vector<PaperTable2Entry> &
+paperTable2()
+{
+    static const std::vector<PaperTable2Entry> kPaper = {
+        {"compress", -14, +6},  {"doduc", -21, -15},
+        {"gcc1", -15, -10},     {"ora", -5, -22},
+        {"su2cor", -36, -25},   {"tomcatv", -41, -19},
+    };
+    return kPaper;
+}
 
 } // namespace mca::harness
 

@@ -18,7 +18,7 @@
  *
  * Determinism guarantee: results are written into their spec's slot
  * (never in completion order), each job owns all of its state, and
- * `harness::simulate` is single-threaded internally — so the emitted
+ * `runner::simulate` is single-threaded internally — so the emitted
  * results are bit-identical for any `jobs` width. A job that throws or
  * exhausts its cycle budget is recorded (status Failed / TimedOut) and
  * the campaign continues; a failed compile fails exactly the jobs that

@@ -3,18 +3,23 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <iostream>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
 #include "compiler/pipeline.hh"
+#include "core/config.hh"
+#include "core/processor.hh"
+#include "exec/trace.hh"
 #include "prof/prof.hh"
 #include "runner/artifact_store.hh"
-#include "core/config.hh"
-#include "harness/experiment.hh"
 #include "sample/driver.hh"
 #include "sample/spec.hh"
+#include "support/panic.hh"
+#include "support/stats.hh"
 #include "workloads/workloads.hh"
 
 namespace mca::runner
@@ -52,6 +57,51 @@ requireOneOf(const std::string &value, const std::vector<std::string> &valid,
         throw std::runtime_error(std::string("unknown ") + field + " '" +
                                  value + "' (valid: " +
                                  joinChoices(valid) + ")");
+}
+
+/**
+ * Sampled job: one functional warming pass + K detailed intervals
+ * instead of a full detailed run. The campaign already parallelizes
+ * across jobs, so the driver runs its intervals serially (no nested
+ * pools).
+ */
+JobResult
+simulateSampled(const prog::MachProgram &binary, const isa::RegisterMap &map,
+                core::ProcessorConfig cfg, const JobSpec &spec)
+{
+    cfg.regMap = map;
+    sample::SampleSpec sspec;
+    sspec.mode = sample::SampleSpec::Mode::Systematic;
+    sspec.period = spec.samplePeriod;
+    sspec.detail = spec.sampleDetail;
+    sspec.warmup = spec.sampleWarmup;
+    sspec.jobs = 1;
+    sample::SampledDriver driver(binary, cfg, spec.traceSeed,
+                                 spec.maxInsts);
+    sample::SampleReport rep;
+    {
+        PROF_SCOPE("runner.sample");
+        rep = driver.run(sspec);
+    }
+    if (!rep.allConserved)
+        throw std::runtime_error(
+            "sampled interval violated cycle-stack conservation");
+    JobResult out;
+    out.sampled = true;
+    out.sampledIntervals = rep.intervals.size();
+    out.cpiCi95 = rep.cpiCi95;
+    out.retired = rep.totalInsts;
+    out.cycles = static_cast<Cycle>(rep.estTotalCycles + 0.5);
+    out.ipc = rep.cpiMean > 0.0 ? 1.0 / rep.cpiMean : 0.0;
+    // Stall attribution summed over the measured windows; each interval
+    // conserves, so the sum does too.
+    if (!rep.intervals.empty())
+        out.stackSlots = rep.intervals.front().stack.slots;
+    for (const auto &iv : rep.intervals)
+        for (std::size_t i = 0; i < obs::kNumStallCauses; ++i)
+            out.stackSlotCycles[i] += iv.stack.slotCycles[i];
+    out.status = JobStatus::Ok;
+    return out;
 }
 
 } // namespace
@@ -193,10 +243,70 @@ jobStatusName(JobStatus status)
 }
 
 JobResult
+simulate(const prog::MachProgram &binary, const isa::RegisterMap &map,
+         core::ProcessorConfig cfg, std::uint64_t trace_seed,
+         std::uint64_t max_insts, Cycle max_cycles, StatGroup *stats)
+{
+    cfg.regMap = map;
+    MCA_ASSERT(map.numClusters() == cfg.numClusters,
+               "register map does not match machine cluster count");
+
+    StatGroup own(binary.name);
+    StatGroup &sg = stats ? *stats : own;
+    exec::ProgramTrace trace(binary, trace_seed, max_insts);
+    core::Processor cpu(cfg, trace, sg);
+    obs::CycleStack cstack;
+    cpu.attachCycleStack(&cstack);
+    const core::SimResult result = cpu.run(max_cycles);
+    MCA_ASSERT(cstack.conserved(),
+               "cycle-stack conservation violated for ", binary.name);
+
+    const auto rate = [&](const char *misses, const char *accesses) {
+        const auto acc = sg.counterAt(accesses).value();
+        return acc ? static_cast<double>(sg.counterAt(misses).value()) /
+                         static_cast<double>(acc)
+                   : 0.0;
+    };
+    JobResult out;
+    out.cycles = result.cycles;
+    out.retired = result.instructions;
+    out.ipc = sg.formulaAt("sim.ipc");
+    out.distSingle = sg.counterAt("dist.single").value();
+    out.distDual = sg.counterAt("dist.dual").value();
+    out.operandForwards = sg.counterAt("dist.operand_forwards").value();
+    out.resultForwards = sg.counterAt("dist.result_forwards").value();
+    out.replays = sg.counterAt("replay.exceptions").value();
+    out.issueDisorder = sg.counterAt("issue.disorder").value();
+    out.bpredAccuracy = sg.formulaAt("bpred.accuracy");
+    out.dcacheMissRate = rate("dcache.misses", "dcache.accesses");
+    out.icacheMissRate = rate("icache.misses", "icache.accesses");
+    if (sg.hasCounter("l2.accesses"))
+        out.l2MissRate = rate("l2.misses", "l2.accesses");
+    out.stackSlotCycles = cstack.slotCycles;
+    out.stackSlots = cstack.slots;
+    out.status = result.completed ? JobStatus::Ok : JobStatus::TimedOut;
+    if (out.status == JobStatus::TimedOut)
+        out.error = "cycle budget exhausted (" +
+                    std::to_string(max_cycles) + " cycles)";
+    return out;
+}
+
+JobResult
+requireOk(JobResult result, const std::string &what)
+{
+    if (result.status != JobStatus::Ok) {
+        std::cerr << "fatal: " << what << ": "
+                  << jobStatusName(result.status) << " (" << result.error
+                  << ")\n";
+        std::exit(1);
+    }
+    return result;
+}
+
+JobResult
 runJob(const JobSpec &spec, ArtifactStore *store)
 {
     JobResult out;
-    out.spec = spec;
     PROF_SCOPE("runner.job");
     const auto start = std::chrono::steady_clock::now();
     try {
@@ -220,86 +330,26 @@ runJob(const JobSpec &spec, ArtifactStore *store)
                         ArtifactStore::compileKeyFor(spec, copt), build)
                   : std::make_shared<const compiler::CompileOutput>(
                         build());
+        const isa::RegisterMap map =
+            compiled->hardwareMap(cfg.numClusters);
+
+        if (spec.samplePeriod > 0) {
+            out = simulateSampled(compiled->binary, map, cfg, spec);
+        } else {
+            PROF_SCOPE("runner.simulate");
+            out = simulate(compiled->binary, map, cfg, spec.traceSeed,
+                           spec.maxInsts, spec.maxCycles);
+        }
         out.spillLoads = compiled->alloc.spillLoadsInserted;
         out.spillStores = compiled->alloc.spillStoresInserted;
         out.otherClusterSpills = compiled->alloc.otherClusterSpills;
         out.partitionCut = compiled->partitionStats.cutWeight;
         out.partitionBalance = compiled->partitionStats.balance;
-
-        if (spec.samplePeriod > 0) {
-            // Sampled job: one functional warming pass + K detailed
-            // intervals instead of a full detailed run. The campaign
-            // already parallelizes across jobs, so the driver runs its
-            // intervals serially (no nested pools).
-            sample::SampleSpec sspec;
-            sspec.mode = sample::SampleSpec::Mode::Systematic;
-            sspec.period = spec.samplePeriod;
-            sspec.detail = spec.sampleDetail;
-            sspec.warmup = spec.sampleWarmup;
-            sspec.jobs = 1;
-            core::ProcessorConfig scfg = cfg;
-            scfg.regMap = compiled->hardwareMap(cfg.numClusters);
-            sample::SampledDriver driver(compiled->binary, scfg,
-                                         spec.traceSeed, spec.maxInsts);
-            sample::SampleReport rep;
-            {
-                PROF_SCOPE("runner.sample");
-                rep = driver.run(sspec);
-            }
-            if (!rep.allConserved)
-                throw std::runtime_error(
-                    "sampled interval violated cycle-stack conservation");
-            out.sampled = true;
-            out.sampledIntervals = rep.intervals.size();
-            out.cpiCi95 = rep.cpiCi95;
-            out.retired = rep.totalInsts;
-            out.cycles = static_cast<Cycle>(rep.estTotalCycles + 0.5);
-            out.ipc = rep.cpiMean > 0.0 ? 1.0 / rep.cpiMean : 0.0;
-            // Stall attribution summed over the measured windows; each
-            // interval conserves, so the sum does too.
-            if (!rep.intervals.empty())
-                out.stackSlots = rep.intervals.front().stack.slots;
-            for (const auto &iv : rep.intervals)
-                for (std::size_t i = 0; i < obs::kNumStallCauses; ++i)
-                    out.stackSlotCycles[i] += iv.stack.slotCycles[i];
-            out.status = JobStatus::Ok;
-            out.wallMs = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - start)
-                             .count();
-            return out;
-        }
-
-        harness::RunStats stats;
-        {
-            PROF_SCOPE("runner.simulate");
-            stats = harness::simulate(
-                compiled->binary, compiled->hardwareMap(cfg.numClusters),
-                cfg, spec.traceSeed, spec.maxInsts, spec.maxCycles);
-        }
-
-        out.cycles = stats.cycles;
-        out.retired = stats.retired;
-        out.ipc = stats.ipc;
-        out.distSingle = stats.distSingle;
-        out.distDual = stats.distDual;
-        out.operandForwards = stats.operandForwards;
-        out.resultForwards = stats.resultForwards;
-        out.replays = stats.replays;
-        out.issueDisorder = stats.issueDisorder;
-        out.bpredAccuracy = stats.bpredAccuracy;
-        out.dcacheMissRate = stats.dcacheMissRate;
-        out.icacheMissRate = stats.icacheMissRate;
-        out.l2MissRate = stats.l2MissRate;
-        out.stackSlotCycles = stats.cycleStack.slotCycles;
-        out.stackSlots = stats.cycleStack.slots;
-        out.status = stats.completed ? JobStatus::Ok : JobStatus::TimedOut;
-        if (out.status == JobStatus::TimedOut)
-            out.error = "cycle budget exhausted (" +
-                        std::to_string(spec.maxCycles) + " cycles)";
     } catch (const std::exception &e) {
         out.status = JobStatus::Failed;
         out.error = e.what();
     }
+    out.spec = spec;
     out.wallMs = std::chrono::duration<double, std::milli>(
                      std::chrono::steady_clock::now() - start)
                      .count();

@@ -14,6 +14,10 @@
  * taking down the process), and a job whose simulation exhausts its
  * cycle budget is recorded as TimedOut. Both outcomes are campaign
  * *results*, not campaign failures.
+ *
+ * runner::simulate is the one detailed-run primitive: runJob's
+ * detailed arm and every caller that builds its own binary or machine
+ * (custom programs, config fields a JobSpec cannot name) go through it.
  */
 
 #ifndef MCA_RUNNER_JOBSPEC_HH
@@ -28,9 +32,19 @@
 #include "obs/cycle_stack.hh"
 #include "support/types.hh"
 
+namespace mca
+{
+class StatGroup;
+}
+
 namespace mca::compiler
 {
 struct CompileOptions;
+}
+
+namespace mca::prog
+{
+struct MachProgram;
 }
 
 namespace mca::runner
@@ -167,6 +181,39 @@ struct JobResult
     /** True when this result was served from the on-disk cache. */
     bool fromCache = false;
 };
+
+/**
+ * Simulate one binary on one machine in full detail.
+ *
+ * Fills the simulation fields of the result (statistics, cycle stack)
+ * and its status: Ok when the trace retired completely, TimedOut with
+ * the budget in `error` when @p max_cycles ran out first. The spec and
+ * compile-side fields are left at their defaults. Asserts that @p map
+ * matches the machine's cluster count and that the cycle stack
+ * conserves retire slots.
+ *
+ * @param binary      Compiled program.
+ * @param map         Register-to-cluster map the hardware should use
+ *                    (normally CompileOutput::hardwareMap()).
+ * @param cfg         Machine configuration (regMap is overwritten).
+ * @param trace_seed  Seed for the trace interpreter.
+ * @param max_insts   Trace-length bound.
+ * @param max_cycles  Cycle budget.
+ * @param stats       Registry to record into, for callers that dump
+ *                    every statistic; nullptr uses a private one.
+ */
+JobResult simulate(const prog::MachProgram &binary,
+                   const isa::RegisterMap &map, core::ProcessorConfig cfg,
+                   std::uint64_t trace_seed, std::uint64_t max_insts,
+                   Cycle max_cycles = 100'000'000,
+                   StatGroup *stats = nullptr);
+
+/**
+ * @p result itself when its status is Ok. Otherwise print one
+ * `fatal: <what>: <status> (<error>)` line to stderr and exit 1: for
+ * benches and examples, where a partial run is never a valid cell.
+ */
+JobResult requireOk(JobResult result, const std::string &what);
 
 class ArtifactStore;
 

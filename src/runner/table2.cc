@@ -6,35 +6,6 @@
 namespace mca::runner
 {
 
-namespace
-{
-
-harness::RunStats
-toRunStats(const JobResult &result)
-{
-    harness::RunStats stats;
-    stats.cycles = result.cycles;
-    stats.retired = result.retired;
-    stats.ipc = result.ipc;
-    stats.distSingle = result.distSingle;
-    stats.distDual = result.distDual;
-    stats.operandForwards = result.operandForwards;
-    stats.resultForwards = result.resultForwards;
-    stats.replays = result.replays;
-    stats.issueDisorder = result.issueDisorder;
-    stats.bpredAccuracy = result.bpredAccuracy;
-    stats.dcacheMissRate = result.dcacheMissRate;
-    stats.icacheMissRate = result.icacheMissRate;
-    stats.l2MissRate = result.l2MissRate;
-    stats.completed = result.status == JobStatus::Ok;
-    stats.cycleStack.slotCycles = result.stackSlotCycles;
-    stats.cycleStack.slots = result.stackSlots;
-    stats.cycleStack.cycles = result.cycles;
-    return stats;
-}
-
-} // namespace
-
 std::vector<JobSpec>
 table2Jobs(const harness::ExperimentOptions &options)
 {
@@ -49,7 +20,7 @@ table2Jobs(const harness::ExperimentOptions &options)
         base.scale = options.workload.scale;
         base.threshold = options.imbalanceThreshold;
         base.traceSeed = options.traceSeed;
-        // runTable2Row seeds the profiling run with the trace seed.
+        // Table 2 seeds the profiling run with the trace seed.
         base.profileSeed = options.traceSeed;
         base.maxInsts = options.maxInsts;
 
@@ -79,20 +50,16 @@ assembleTable2Rows(const std::vector<JobResult> &jobs)
     std::vector<harness::Table2Row> rows;
     rows.reserve(jobs.size() / 3);
     for (std::size_t i = 0; i + 2 < jobs.size(); i += 3) {
-        const JobResult &single = jobs[i];
-        const JobResult &dualNone = jobs[i + 1];
-        const JobResult &dualLocal = jobs[i + 2];
-
         harness::Table2Row row;
-        row.benchmark = single.spec.benchmark;
-        row.single = toRunStats(single);
-        row.dualNone = toRunStats(dualNone);
-        row.dualLocal = toRunStats(dualLocal);
-        row.spillLoadsLocal = dualLocal.spillLoads;
-        row.spillStoresLocal = dualLocal.spillStores;
-        row.otherClusterSpills = dualLocal.otherClusterSpills;
+        row.single = jobs[i];
+        row.dualNone = jobs[i + 1];
+        row.dualLocal = jobs[i + 2];
+        row.benchmark = row.single.spec.benchmark;
+        row.spillLoadsLocal = row.dualLocal.spillLoads;
+        row.spillStoresLocal = row.dualLocal.spillStores;
+        row.otherClusterSpills = row.dualLocal.otherClusterSpills;
 
-        auto pct = [&](const harness::RunStats &dual) {
+        auto pct = [&](const JobResult &dual) {
             if (row.single.cycles == 0)
                 return 0.0;
             return 100.0 -

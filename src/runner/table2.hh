@@ -7,9 +7,9 @@
  * dual — and the rows are assembled from the job results afterward.
  * Because every job re-derives its workload and compilation
  * deterministically from its spec, the assembled rows are bit-identical
- * to `harness::runTable2Row` (which compiles once and simulates three
- * times in sequence), at any `--jobs` width, with cache hits, or across
- * reruns.
+ * to compiling once and simulating three times in sequence (the serial
+ * reference in tests/runner_test.cc), at any `--jobs` width, with cache
+ * hits, or across reruns.
  */
 
 #ifndef MCA_RUNNER_TABLE2_HH

@@ -2,6 +2,8 @@
 
 #include <charconv>
 #include <cmath>
+#include <cstdlib>
+#include <iostream>
 #include <stdexcept>
 #include <system_error>
 
@@ -44,6 +46,34 @@ parseDoubleFlag(const std::string &text, const char *flag)
     if (ec != std::errc() || ptr != end || !std::isfinite(value))
         reject(text, flag, "a finite number");
     return value;
+}
+
+double
+positionalDouble(int argc, char **argv, int index, const char *name,
+                 double fallback)
+{
+    if (argc <= index)
+        return fallback;
+    try {
+        return parseDoubleFlag(argv[index], name);
+    } catch (const std::runtime_error &e) {
+        std::cerr << "fatal: " << e.what() << "\n";
+        std::exit(1);
+    }
+}
+
+std::uint64_t
+positionalUnsigned(int argc, char **argv, int index, const char *name,
+                   std::uint64_t fallback, std::uint64_t max)
+{
+    if (argc <= index)
+        return fallback;
+    try {
+        return parseUnsignedFlag(argv[index], name, max);
+    } catch (const std::runtime_error &e) {
+        std::cerr << "fatal: " << e.what() << "\n";
+        std::exit(1);
+    }
 }
 
 } // namespace mca

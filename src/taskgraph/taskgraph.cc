@@ -7,7 +7,7 @@
 #include <mutex>
 #include <stdexcept>
 
-#include "runner/thread_pool.hh"
+#include "taskgraph/thread_pool.hh"
 
 namespace mca::taskgraph
 {
@@ -103,7 +103,7 @@ Executor::run(TaskGraph &graph) const
     std::mutex m;
     std::size_t readyDepth = 0; // submitted but not yet started
     std::vector<char> laneBusy;
-    runner::ThreadPool pool(jobs_);
+    ThreadPool pool(jobs_);
 
     // Forward declaration dance: runNode submits dependents via
     // settle, which submits via submitNode, which builds runNode

@@ -3,7 +3,7 @@
  * Deterministic dependency-aware task-graph executor.
  *
  * The campaign runner and the sampled driver both shard work across a
- * runner::ThreadPool, but until this layer existed each had to encode
+ * worker pool, but until this layer existed each had to encode
  * its stage ordering by hand: the runner blocked whole workers on a
  * shared compile future, and the sampled driver ran its warming pass
  * strictly before any measurement. A TaskGraph makes the ordering
@@ -155,10 +155,10 @@ class TaskGraph
 };
 
 /**
- * Runs a TaskGraph on a runner::ThreadPool of the given width. The
- * executor owns all cross-node synchronization: one mutex guards the
- * scheduling state, and every edge implies a happens-before between
- * the two bodies, so bodies themselves stay lock-free.
+ * Runs a TaskGraph on a ThreadPool (thread_pool.hh) of the given
+ * width. The executor owns all cross-node synchronization: one mutex
+ * guards the scheduling state, and every edge implies a happens-before
+ * between the two bodies, so bodies themselves stay lock-free.
  */
 class Executor
 {

@@ -1,8 +1,8 @@
-#include "runner/thread_pool.hh"
+#include "taskgraph/thread_pool.hh"
 
 #include <algorithm>
 
-namespace mca::runner
+namespace mca::taskgraph
 {
 
 ThreadPool::ThreadPool(unsigned width)
@@ -73,4 +73,4 @@ ThreadPool::workerLoop()
     }
 }
 
-} // namespace mca::runner
+} // namespace mca::taskgraph

@@ -2,19 +2,19 @@
  * @file
  * Fixed-width worker pool with a FIFO work queue.
  *
- * The campaign runner shards independent compile-and-simulate jobs
- * across cores with this pool. Tasks are plain std::function<void()>;
- * result plumbing is the submitter's job (the Campaign writes each
- * result into a pre-sized slot, so no synchronization is needed on the
- * output side beyond the pool's completion barrier).
+ * Private to src/taskgraph: the Executor runs every task graph on one
+ * of these pools, and nothing else schedules onto it. Tasks are plain
+ * std::function<void()>; result plumbing is the submitter's job (each
+ * node writes into a pre-sized slot, so no synchronization is needed
+ * on the output side beyond the pool's completion barrier).
  *
  * `width = 1` degenerates to serial execution on one worker thread,
  * which is how `mcarun --jobs 1` guarantees the same code path (and
  * bit-identical results) as any wider run.
  */
 
-#ifndef MCA_RUNNER_THREAD_POOL_HH
-#define MCA_RUNNER_THREAD_POOL_HH
+#ifndef MCA_TASKGRAPH_THREAD_POOL_HH
+#define MCA_TASKGRAPH_THREAD_POOL_HH
 
 #include <condition_variable>
 #include <cstddef>
@@ -24,7 +24,7 @@
 #include <thread>
 #include <vector>
 
-namespace mca::runner
+namespace mca::taskgraph
 {
 
 class ThreadPool
@@ -62,6 +62,6 @@ class ThreadPool
     std::vector<std::thread> workers_;
 };
 
-} // namespace mca::runner
+} // namespace mca::taskgraph
 
-#endif // MCA_RUNNER_THREAD_POOL_HH
+#endif // MCA_TASKGRAPH_THREAD_POOL_HH

@@ -428,8 +428,7 @@ printTable2Attribution(const std::vector<harness::Table2Row> &rows)
 {
     bool have = false;
     for (const auto &row : rows)
-        have |= row.single.cycleStack.slots > 0 &&
-                row.dualNone.cycleStack.slots > 0;
+        have |= row.single.stackSlots > 0 && row.dualNone.stackSlots > 0;
     if (!have)
         return; // stacks absent (e.g. stale cache entries)
 
@@ -442,18 +441,19 @@ printTable2Attribution(const std::vector<harness::Table2Row> &rows)
             obs::stallCauseName(static_cast<obs::StallCause>(i)));
     table.header(header);
     for (const auto &row : rows) {
-        if (row.single.cycleStack.slots == 0 ||
-            row.dualNone.cycleStack.slots == 0)
+        if (row.single.stackSlots == 0 || row.dualNone.stackSlots == 0)
             continue;
         std::vector<std::string> cells = {
             row.benchmark,
             std::to_string(static_cast<long long>(
                 row.dualNone.cycles - row.single.cycles))};
         for (std::size_t i = 0; i < obs::kNumStallCauses; ++i) {
-            const auto cause = static_cast<obs::StallCause>(i);
-            const double delta =
-                row.dualNone.cycleStack.cyclesOf(cause) -
-                row.single.cycleStack.cyclesOf(cause);
+            // Slot-cycles in whole-machine cycles (obs::CycleStack::cyclesOf).
+            const auto cycles = [i](const runner::JobResult &r) {
+                return static_cast<double>(r.stackSlotCycles[i]) /
+                       static_cast<double>(r.stackSlots);
+            };
+            const double delta = cycles(row.dualNone) - cycles(row.single);
             cells.push_back(TextTable::num(delta, 0));
         }
         table.row(cells);

@@ -1,21 +1,34 @@
 /**
  * @file
- * Tests for the experiment harness: the Table-2 methodology runner,
- * the Figure-6 fixture, the scenario runner plumbing, and the
- * delay-model integration used by the cycle-time bench.
+ * Tests for the experiment harness: the Table-2 methodology (run as a
+ * campaign), the Figure-6 fixture, the scenario runner plumbing, and
+ * the delay-model integration used by the cycle-time bench.
  */
 
 #include <gtest/gtest.h>
 
-#include "harness/experiment.hh"
+#include "compiler/pipeline.hh"
 #include "harness/figure6.hh"
 #include "harness/scenarios.hh"
+#include "runner/table2.hh"
 #include "timing/delay_model.hh"
 
 namespace
 {
 
 using namespace mca;
+
+/** The Table-2 row of @p benchmark: its three table2Jobs, run serially. */
+harness::Table2Row
+table2Row(const std::string &benchmark,
+          const harness::ExperimentOptions &opt)
+{
+    std::vector<runner::JobSpec> specs;
+    for (const auto &spec : runner::table2Jobs(opt))
+        if (spec.benchmark == benchmark)
+            specs.push_back(spec);
+    return runner::assembleTable2Rows(runner::runCampaign(specs, {})).at(0);
+}
 
 TEST(Harness, PaperTable2ValuesAreThePublishedOnes)
 {
@@ -39,7 +52,7 @@ TEST(Harness, SimulateChecksMapAgainstMachine)
     copt.numClusters = 1;
     const auto out = compiler::compile(program, copt);
     // A 2-cluster map on a 1-cluster machine must be rejected.
-    EXPECT_DEATH(harness::simulate(
+    EXPECT_DEATH(runner::simulate(
                      out.binary, out.hardwareMap(2),
                      core::ProcessorConfig::singleCluster8(), 1, 1'000),
                  "cluster count");
@@ -50,11 +63,10 @@ TEST(Harness, Table2RowRunsAllThreeConfigurations)
     harness::ExperimentOptions opt;
     opt.workload.scale = 0.02;
     opt.maxInsts = 15'000;
-    const auto row = harness::runTable2Row(
-        workloads::benchmarkByName("tomcatv"), opt);
-    EXPECT_TRUE(row.single.completed);
-    EXPECT_TRUE(row.dualNone.completed);
-    EXPECT_TRUE(row.dualLocal.completed);
+    const auto row = table2Row("tomcatv", opt);
+    EXPECT_EQ(row.single.status, runner::JobStatus::Ok);
+    EXPECT_EQ(row.dualNone.status, runner::JobStatus::Ok);
+    EXPECT_EQ(row.dualLocal.status, runner::JobStatus::Ok);
     // The native binary retires identically on both machines.
     EXPECT_EQ(row.single.retired, row.dualNone.retired);
     // Cluster-unaware code dual-distributes; the local scheduler cuts it.
@@ -113,15 +125,13 @@ TEST(Golden, CompressPinnedCycleCounts)
     harness::ExperimentOptions opt;
     opt.workload.scale = 0.05;
     opt.maxInsts = 30'000;
-    const auto row = harness::runTable2Row(
-        workloads::benchmarkByName("compress"), opt);
+    const auto row = table2Row("compress", opt);
     // Relative pin: the dual machine needs more cycles, within a band.
     const double none_pct = row.pctNone;
     EXPECT_LT(none_pct, -5.0);
     EXPECT_GT(none_pct, -30.0);
     // Absolute determinism pin.
-    const auto again = harness::runTable2Row(
-        workloads::benchmarkByName("compress"), opt);
+    const auto again = table2Row("compress", opt);
     EXPECT_EQ(row.single.cycles, again.single.cycles);
     EXPECT_EQ(row.dualNone.cycles, again.dualNone.cycles);
     EXPECT_EQ(row.dualLocal.cycles, again.dualLocal.cycles);

@@ -7,8 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "compiler/pipeline.hh"
-#include "exec/trace.hh"
-#include "harness/experiment.hh"
+#include "runner/table2.hh"
 #include "workloads/workloads.hh"
 
 namespace
@@ -17,7 +16,7 @@ namespace
 using namespace mca;
 
 /** Compile + simulate a benchmark on a machine; sanity-check results. */
-harness::RunStats
+runner::JobResult
 runOn(const prog::Program &program, compiler::SchedulerKind sched,
       unsigned clusters, std::uint64_t max_insts)
 {
@@ -30,8 +29,8 @@ runOn(const prog::Program &program, compiler::SchedulerKind sched,
     const auto cfg = clusters == 1
                          ? core::ProcessorConfig::singleCluster8()
                          : core::ProcessorConfig::dualCluster8();
-    return harness::simulate(out.binary, out.hardwareMap(clusters), cfg,
-                             7, max_insts);
+    return runner::simulate(out.binary, out.hardwareMap(clusters), cfg,
+                            7, max_insts);
 }
 
 TEST(Integration, CompressRunsOnSingleCluster)
@@ -40,7 +39,7 @@ TEST(Integration, CompressRunsOnSingleCluster)
         workloads::makeCompress(workloads::WorkloadParams{0.05});
     const auto stats =
         runOn(program, compiler::SchedulerKind::Native, 1, 50'000);
-    EXPECT_TRUE(stats.completed);
+    EXPECT_EQ(stats.status, runner::JobStatus::Ok);
     EXPECT_GT(stats.retired, 1'000u);
     EXPECT_GT(stats.ipc, 0.1);
     EXPECT_LE(stats.ipc, 8.0);
@@ -56,7 +55,7 @@ TEST(Integration, CompressNativeOnDualClusterDualDistributes)
         workloads::makeCompress(workloads::WorkloadParams{0.05});
     const auto stats =
         runOn(program, compiler::SchedulerKind::Native, 2, 50'000);
-    EXPECT_TRUE(stats.completed);
+    EXPECT_EQ(stats.status, runner::JobStatus::Ok);
     EXPECT_GT(stats.retired, 1'000u);
     // The cluster-unaware binary scatters live ranges across both
     // clusters, so dual distribution must occur.
@@ -71,7 +70,7 @@ TEST(Integration, LocalSchedulerReducesDualDistribution)
         runOn(program, compiler::SchedulerKind::Native, 2, 50'000);
     const auto local =
         runOn(program, compiler::SchedulerKind::Local, 2, 50'000);
-    EXPECT_TRUE(local.completed);
+    EXPECT_EQ(local.status, runner::JobStatus::Ok);
     // The paper's key mechanism: rescheduling cuts dual distribution.
     EXPECT_LT(local.distDual, none.distDual);
 }
@@ -98,8 +97,8 @@ TEST(Integration, AllBenchmarksDrainOnBothMachines)
             runOn(program, compiler::SchedulerKind::Native, 1, 20'000);
         const auto dual =
             runOn(program, compiler::SchedulerKind::Local, 2, 20'000);
-        EXPECT_TRUE(single.completed);
-        EXPECT_TRUE(dual.completed);
+        EXPECT_EQ(single.status, runner::JobStatus::Ok);
+        EXPECT_EQ(dual.status, runner::JobStatus::Ok);
         EXPECT_GT(single.retired, 100u);
         // Both machines retire the same dynamic instruction stream only
         // if the binaries are identical; local rescheduling adds spill
@@ -113,8 +112,8 @@ TEST(Integration, Table2RowComputesPercentages)
     harness::ExperimentOptions opt;
     opt.workload.scale = 0.02;
     opt.maxInsts = 20'000;
-    const auto row = harness::runTable2Row(
-        workloads::benchmarkByName("compress"), opt);
+    const auto row = runner::runTable2Campaign(opt, {}).rows.at(0);
+    ASSERT_EQ(row.benchmark, "compress");
     EXPECT_GT(row.single.cycles, 0u);
     EXPECT_GT(row.dualNone.cycles, 0u);
     EXPECT_GT(row.dualLocal.cycles, 0u);
@@ -136,8 +135,8 @@ TEST(Integration, TraceIsDeterministic)
 
     auto runOnce = [&] {
         const auto cfg = core::ProcessorConfig::singleCluster8();
-        return harness::simulate(out.binary, out.hardwareMap(1), cfg, 99,
-                                 20'000);
+        return runner::simulate(out.binary, out.hardwareMap(1), cfg, 99,
+                                20'000);
     };
     const auto a = runOnce();
     const auto b = runOnce();

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "isa/distribution.hh"
 #include "isa/inst.hh"
 #include "isa/issue_rules.hh"
@@ -24,13 +26,24 @@ using isa::OpClass;
 
 // --- opcode classes and latencies (paper Table 1 row 3) -------------------
 
+// gtest names each case after the raw bytes of its parameter, so the
+// padding is spelled out and zeroed: left implicit, it held whatever the
+// stack did and gave the same case a different name on each run.
 struct OpExpectation
 {
+    OpExpectation(Op op, OpClass cls, unsigned latency, bool pipelined)
+        : op(op), cls(cls), latency(latency), pipelined(pipelined)
+    {
+    }
+
     Op op;
     OpClass cls;
+    std::uint8_t pad0[2] = {};
     unsigned latency;
     bool pipelined;
+    std::uint8_t pad1[3] = {};
 };
+static_assert(sizeof(OpExpectation) == 12, "no implicit padding");
 
 class OpTableTest : public ::testing::TestWithParam<OpExpectation>
 {

@@ -21,7 +21,6 @@
 #include "core/processor.hh"
 #include "core/timeline.hh"
 #include "exec/trace.hh"
-#include "harness/experiment.hh"
 #include "harness/scenarios.hh"
 #include "isa/inst.hh"
 #include "isa/registers.hh"
@@ -116,13 +115,15 @@ TEST(Conservation, BenchmarkSimulation)
     copt.scheduler = compiler::SchedulerKind::Local;
     copt.numClusters = 2;
     const auto out = compiler::compile(program, copt);
-    const auto stats = harness::simulate(
+    const auto stats = runner::simulate(
         out.binary, out.hardwareMap(2),
         core::ProcessorConfig::dualCluster8(), 42, 10'000);
-    ASSERT_TRUE(stats.completed);
-    const auto &cs = stats.cycleStack;
+    ASSERT_EQ(stats.status, runner::JobStatus::Ok);
+    obs::CycleStack cs;
+    cs.slotCycles = stats.stackSlotCycles;
+    cs.slots = stats.stackSlots;
+    cs.cycles = stats.cycles;
     EXPECT_EQ(cs.slots, 8u);
-    EXPECT_EQ(cs.cycles, stats.cycles);
     EXPECT_TRUE(cs.conserved());
     // Every retired instruction is one Base slot-cycle.
     EXPECT_GE(cs.at(StallCause::Base), stats.retired);

@@ -28,7 +28,7 @@
 #include "core/processor.hh"
 #include "exec/trace.hh"
 #include "exec/walker.hh"
-#include "harness/experiment.hh"
+#include "runner/jobspec.hh"
 #include "workloads/workloads.hh"
 
 namespace
@@ -148,23 +148,23 @@ TEST_P(RandomPipeline, BothMachinesDrainDeterministically)
     loc.numClusters = 2;
     const auto local = compiler::compile(p, loc);
 
-    const auto s1 = harness::simulate(
+    const auto s1 = runner::simulate(
         native.binary, native.hardwareMap(1),
         core::ProcessorConfig::singleCluster8(), 13, 100'000);
-    const auto s2 = harness::simulate(
+    const auto s2 = runner::simulate(
         native.binary, native.hardwareMap(2),
         core::ProcessorConfig::dualCluster8(), 13, 100'000);
-    const auto s3 = harness::simulate(
+    const auto s3 = runner::simulate(
         local.binary, local.hardwareMap(2),
         core::ProcessorConfig::dualCluster8(), 13, 100'000);
-    EXPECT_TRUE(s1.completed);
-    EXPECT_TRUE(s2.completed);
-    EXPECT_TRUE(s3.completed);
+    EXPECT_EQ(s1.status, runner::JobStatus::Ok);
+    EXPECT_EQ(s2.status, runner::JobStatus::Ok);
+    EXPECT_EQ(s3.status, runner::JobStatus::Ok);
     EXPECT_GT(s1.retired, 0u);
     // Native binary retires the same count on both machines.
     EXPECT_EQ(s1.retired, s2.retired);
 
-    const auto again = harness::simulate(
+    const auto again = runner::simulate(
         local.binary, local.hardwareMap(2),
         core::ProcessorConfig::dualCluster8(), 13, 100'000);
     EXPECT_EQ(again.cycles, s3.cycles);
@@ -178,10 +178,10 @@ TEST_P(RandomPipeline, FourClusterMachineAlsoDrains)
     nat.numClusters = 1;
     const auto native = compiler::compile(p, nat);
     const auto cfg = core::ProcessorConfig::multiCluster8(4);
-    const auto s = harness::simulate(native.binary,
-                                     native.hardwareMap(4), cfg, 13,
-                                     50'000);
-    EXPECT_TRUE(s.completed);
+    const auto s = runner::simulate(native.binary,
+                                    native.hardwareMap(4), cfg, 13,
+                                    50'000);
+    EXPECT_EQ(s.status, runner::JobStatus::Ok);
     EXPECT_GT(s.retired, 0u);
 }
 

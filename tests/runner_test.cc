@@ -6,7 +6,6 @@
  */
 
 #include <algorithm>
-#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -22,7 +21,6 @@
 #include "runner/artifact_store.hh"
 #include "runner/emit.hh"
 #include "runner/table2.hh"
-#include "runner/thread_pool.hh"
 #include "workloads/workloads.hh"
 
 namespace
@@ -371,31 +369,99 @@ TEST(Campaign, ProgressCallbackSeesEveryJob)
     EXPECT_EQ(calls, 4u);
 }
 
+/**
+ * Serial reference for the Table-2 campaign: the paper's three-run
+ * methodology written out directly. Compile the native and the locally
+ * scheduled binary once, then simulate native/single, native/dual and
+ * local/dual in sequence.
+ */
+harness::Table2Row
+serialTable2Row(const workloads::BenchmarkInfo &bench,
+                const harness::ExperimentOptions &options)
+{
+    const prog::Program program = bench.make(options.workload);
+    compiler::CompileOptions nopt = compiler::compileOptionsFor("native", 1);
+    nopt.profileSeed = options.traceSeed;
+    const auto native = compiler::compile(program, nopt);
+    compiler::CompileOptions lopt = compiler::compileOptionsFor("local", 2);
+    lopt.imbalanceThreshold = options.imbalanceThreshold;
+    lopt.profileSeed = options.traceSeed;
+    const auto local = compiler::compile(program, lopt);
+
+    const auto singleCfg = options.eightWay
+                               ? core::ProcessorConfig::singleCluster8()
+                               : core::ProcessorConfig::singleCluster4();
+    const auto dualCfg = options.eightWay
+                             ? core::ProcessorConfig::dualCluster8()
+                             : core::ProcessorConfig::dualCluster4();
+
+    harness::Table2Row row;
+    row.benchmark = bench.name;
+    row.single = runner::simulate(native.binary, native.hardwareMap(1),
+                                  singleCfg, options.traceSeed,
+                                  options.maxInsts);
+    row.dualNone = runner::simulate(native.binary, native.hardwareMap(2),
+                                    dualCfg, options.traceSeed,
+                                    options.maxInsts);
+    row.dualLocal = runner::simulate(local.binary, local.hardwareMap(2),
+                                     dualCfg, options.traceSeed,
+                                     options.maxInsts);
+    const auto pct = [&](const JobResult &dual) {
+        return 100.0 - 100.0 * (static_cast<double>(dual.cycles) /
+                                static_cast<double>(row.single.cycles));
+    };
+    row.pctNone = pct(row.dualNone);
+    row.pctLocal = pct(row.dualLocal);
+    row.spillLoadsLocal = local.alloc.spillLoadsInserted;
+    row.spillStoresLocal = local.alloc.spillStoresInserted;
+    row.otherClusterSpills = local.alloc.otherClusterSpills;
+    return row;
+}
+
+void
+expectSameRun(const JobResult &got, const JobResult &want)
+{
+    EXPECT_EQ(got.status, want.status);
+    EXPECT_EQ(got.cycles, want.cycles);
+    EXPECT_EQ(got.retired, want.retired);
+    EXPECT_EQ(got.replays, want.replays);
+    EXPECT_EQ(got.distDual, want.distDual);
+    EXPECT_EQ(got.stackSlotCycles, want.stackSlotCycles);
+}
+
 TEST(Table2Campaign, MatchesTheSerialHarness)
 {
-    harness::ExperimentOptions opt;
-    opt.workload.scale = 0.05;
-    opt.maxInsts = 10'000;
+    for (const bool eightWay : {true, false}) {
+        SCOPED_TRACE(eightWay ? "8-way" : "4-way");
+        harness::ExperimentOptions opt;
+        opt.workload.scale = 0.05;
+        opt.maxInsts = 10'000;
+        opt.eightWay = eightWay;
 
-    // Reference: the original single-threaded harness path.
-    const auto reference = harness::runTable2Row(
-        workloads::allBenchmarks().front(), opt);
+        runner::CampaignOptions campaign;
+        campaign.jobs = 3;
+        const auto result = runner::runTable2Campaign(opt, campaign);
+        const auto &benches = workloads::allBenchmarks();
+        ASSERT_EQ(result.rows.size(), benches.size());
+        ASSERT_EQ(result.jobs.size(), 3 * result.rows.size());
 
-    runner::CampaignOptions campaign;
-    campaign.jobs = 3;
-    const auto result = runner::runTable2Campaign(opt, campaign);
-    ASSERT_EQ(result.rows.size(), workloads::allBenchmarks().size());
-    ASSERT_EQ(result.jobs.size(), 3 * result.rows.size());
-
-    const auto &row = result.rows.front();
-    EXPECT_EQ(row.benchmark, reference.benchmark);
-    EXPECT_EQ(row.single.cycles, reference.single.cycles);
-    EXPECT_EQ(row.dualNone.cycles, reference.dualNone.cycles);
-    EXPECT_EQ(row.dualLocal.cycles, reference.dualLocal.cycles);
-    EXPECT_DOUBLE_EQ(row.pctNone, reference.pctNone);
-    EXPECT_DOUBLE_EQ(row.pctLocal, reference.pctLocal);
-    EXPECT_EQ(row.spillLoadsLocal, reference.spillLoadsLocal);
-    EXPECT_EQ(row.spillStoresLocal, reference.spillStoresLocal);
+        for (std::size_t i = 0; i < benches.size(); ++i) {
+            const auto reference = serialTable2Row(benches[i], opt);
+            const auto &row = result.rows[i];
+            SCOPED_TRACE(reference.benchmark);
+            EXPECT_EQ(row.benchmark, reference.benchmark);
+            EXPECT_EQ(row.single.status, JobStatus::Ok);
+            expectSameRun(row.single, reference.single);
+            expectSameRun(row.dualNone, reference.dualNone);
+            expectSameRun(row.dualLocal, reference.dualLocal);
+            EXPECT_DOUBLE_EQ(row.pctNone, reference.pctNone);
+            EXPECT_DOUBLE_EQ(row.pctLocal, reference.pctLocal);
+            EXPECT_EQ(row.spillLoadsLocal, reference.spillLoadsLocal);
+            EXPECT_EQ(row.spillStoresLocal, reference.spillStoresLocal);
+            EXPECT_EQ(row.otherClusterSpills,
+                      reference.otherClusterSpills);
+        }
+    }
 }
 
 TEST(Emit, JsonAndCsvShapes)
@@ -543,32 +609,6 @@ TEST(Campaign, CompileCacheSharesCompilesAcrossTheGrid)
         EXPECT_EQ(plain[i].spillStores, cached[i].spillStores) << i;
         EXPECT_DOUBLE_EQ(plain[i].ipc, cached[i].ipc) << i;
     }
-}
-
-TEST(ThreadPoolTest, RunsEverythingAndWaits)
-{
-    runner::ThreadPool pool(4);
-    EXPECT_EQ(pool.width(), 4u);
-    std::atomic<int> counter{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&counter] { ++counter; });
-    pool.wait();
-    EXPECT_EQ(counter.load(), 100);
-
-    // The pool is reusable after a wait().
-    pool.submit([&counter] { counter += 10; });
-    pool.wait();
-    EXPECT_EQ(counter.load(), 110);
-}
-
-TEST(ThreadPoolTest, WidthClampedToOne)
-{
-    runner::ThreadPool pool(0);
-    EXPECT_EQ(pool.width(), 1u);
-    std::atomic<bool> ran{false};
-    pool.submit([&ran] { ran = true; });
-    pool.wait();
-    EXPECT_TRUE(ran.load());
 }
 
 } // namespace

@@ -8,18 +8,25 @@
  *  - a sampled run is deterministic, and parallel measurement
  *    (jobs > 1) is bit-identical to serial (jobs = 1);
  *  - every measured interval's cycle stack conserves retire slots;
- *  - periodic mode starts intervals exactly where asked.
+ *  - periodic mode starts intervals exactly where asked;
+ *  - functional warming trains the branch predictor on every
+ *    conditional branch it consumes.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
+#include "bpred/predictors.hh"
+#include "ckpt/io.hh"
 #include "compiler/pipeline.hh"
 #include "core/processor.hh"
 #include "exec/trace.hh"
+#include "isa/opcodes.hh"
 #include "sample/driver.hh"
+#include "sample/functional.hh"
 #include "sample/spec.hh"
 #include "workloads/workloads.hh"
 
@@ -271,6 +278,50 @@ TEST(SampledRun, SingleClusterAlsoSamples)
     ASSERT_FALSE(rep.intervals.empty());
     const double relErr = std::fabs(rep.cpiMean - fullCpi) / fullCpi;
     EXPECT_LT(relErr, 0.10);
+}
+
+TEST(FunctionalWarming, TrainsThePredictorOnEveryConditionalBranch)
+{
+    constexpr std::uint64_t kInsts = 60'000;
+    const auto c = compileBenchmark("gcc1", 2, 0.5);
+    const auto cfg = dualConfig(c.map);
+
+    StatGroup sg("mca");
+    exec::ProgramTrace trace(c.binary, kTraceSeed, kInsts);
+    core::Processor proc(cfg, trace, sg);
+    sample::FunctionalWarmer warmer(proc);
+    EXPECT_GT(warmer.advance(kInsts), 0u);
+
+    // The same kind of predictor (the dual machine's McFarling), fed
+    // update(pc, taken) for the same trace's conditional branches.
+    ASSERT_EQ(cfg.predictor, core::ProcessorConfig::PredictorKind::McFarling);
+    const auto make = [&] {
+        return bpred::McFarlingPredictor(
+            cfg.bimodalIndexBits, cfg.historyBits, cfg.gshareIndexBits,
+            cfg.chooserIndexBits, cfg.speculativeHistory);
+    };
+    auto trained = make();
+    const auto fresh = make();
+    exec::ProgramTrace replay(c.binary, kTraceSeed, kInsts);
+    std::uint64_t branches = 0;
+    while (const auto di = replay.next())
+        if (isa::isCondBranch(di->mi.op)) {
+            trained.update(di->pc, di->taken);
+            ++branches;
+        }
+    ASSERT_GT(branches, 1'000u);
+
+    const auto state = [](const bpred::Predictor &p) {
+        ckpt::Writer w;
+        p.saveState(w);
+        return w.take();
+    };
+    // Compared as booleans: the serialized tables are kilobytes long.
+    const std::string warmed = state(proc.predictor());
+    EXPECT_TRUE(warmed == state(trained))
+        << "warming did not train the predictor on every branch";
+    EXPECT_TRUE(warmed != state(fresh))
+        << "warming left the predictor untrained";
 }
 
 } // namespace

@@ -11,7 +11,7 @@
 #include "compiler/superblock.hh"
 #include "exec/trace.hh"
 #include "exec/walker.hh"
-#include "harness/experiment.hh"
+#include "runner/jobspec.hh"
 #include "prog/builder.hh"
 #include "workloads/workloads.hh"
 
@@ -164,10 +164,10 @@ TEST(Superblock, CompiledProgramsStillSimulate)
         copt.numClusters = 2;
         copt.superblocks = true;
         const auto out = compiler::compile(program, copt);
-        const auto s = harness::simulate(
+        const auto s = runner::simulate(
             out.binary, out.hardwareMap(2),
             core::ProcessorConfig::dualCluster8(), 11, 30'000);
-        EXPECT_TRUE(s.completed);
+        EXPECT_EQ(s.status, runner::JobStatus::Ok);
         EXPECT_GT(s.retired, 100u);
     }
 }

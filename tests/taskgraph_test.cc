@@ -3,7 +3,8 @@
  * Tests for the dependency-aware task-graph executor (src/taskgraph):
  * topological ordering, cycle detection, failure/cancellation
  * propagation, deterministic slot writes at any worker width, stats
- * sanity, and byte-identical campaign output across --jobs widths.
+ * sanity, byte-identical campaign output across --jobs widths, and
+ * the worker pool underneath.
  */
 
 #include <atomic>
@@ -18,6 +19,7 @@
 #include "runner/campaign.hh"
 #include "runner/emit.hh"
 #include "taskgraph/taskgraph.hh"
+#include "taskgraph/thread_pool.hh"
 
 namespace
 {
@@ -306,6 +308,32 @@ TEST(CampaignGraph, ContinuesPastFailedJobs)
     }
     EXPECT_EQ(summary.failed, 1u);
     EXPECT_EQ(summary.ok, specs.size() - 1);
+}
+
+TEST(ThreadPoolTest, RunsEverythingAndWaits)
+{
+    taskgraph::ThreadPool pool(4);
+    EXPECT_EQ(pool.width(), 4u);
+    std::atomic<int> counter{0};
+    for (int i = 0; i < 100; ++i)
+        pool.submit([&counter] { ++counter; });
+    pool.wait();
+    EXPECT_EQ(counter.load(), 100);
+
+    // The pool is reusable after a wait().
+    pool.submit([&counter] { counter += 10; });
+    pool.wait();
+    EXPECT_EQ(counter.load(), 110);
+}
+
+TEST(ThreadPoolTest, WidthClampedToOne)
+{
+    taskgraph::ThreadPool pool(0);
+    EXPECT_EQ(pool.width(), 1u);
+    std::atomic<bool> ran{false};
+    pool.submit([&ran] { ran = true; });
+    pool.wait();
+    EXPECT_TRUE(ran.load());
 }
 
 } // namespace

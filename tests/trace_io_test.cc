@@ -12,7 +12,8 @@
 #include "compiler/pipeline.hh"
 #include "exec/trace.hh"
 #include "exec/trace_io.hh"
-#include "harness/experiment.hh"
+#include "core/processor.hh"
+#include "support/stats.hh"
 #include "workloads/workloads.hh"
 
 namespace

@@ -10,7 +10,7 @@
 #include "compiler/pipeline.hh"
 #include "compiler/unroll.hh"
 #include "exec/trace.hh"
-#include "harness/experiment.hh"
+#include "runner/jobspec.hh"
 #include "prog/builder.hh"
 #include "workloads/workloads.hh"
 
@@ -175,10 +175,10 @@ TEST(Unroll, CompiledUnrolledProgramStillValidates)
     copt.unrollFactor = 4;
     const auto out = compiler::compile(p, copt);
     EXPECT_EQ(out.unrollStats.loopsUnrolled, 1u);
-    const auto s = harness::simulate(
+    const auto s = runner::simulate(
         out.binary, out.hardwareMap(2),
         core::ProcessorConfig::dualCluster8(), 11, 100'000);
-    EXPECT_TRUE(s.completed);
+    EXPECT_EQ(s.status, runner::JobStatus::Ok);
     EXPECT_GT(s.retired, 100u);
 }
 

@@ -15,9 +15,7 @@
  */
 
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
-#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -55,32 +53,15 @@ main(int argc, char **argv)
     double scale = 0.1;
     std::uint64_t max_insts = 60'000;
     unsigned jobs = 4;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::cerr << arg << " needs a value\n";
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        try {
-            if (arg == "--scale")
-                scale = parseDoubleFlag(next(), "--scale");
-            else if (arg == "--max-insts")
-                max_insts = parseUnsignedFlag(next(), "--max-insts");
-            else if (arg == "--jobs")
-                jobs = static_cast<unsigned>(parseUnsignedFlag(
-                    next(), "--jobs",
-                    std::numeric_limits<unsigned>::max()));
-            else {
-                std::cerr << "unknown argument: " << arg << "\n";
-                return 2;
-            }
-        } catch (const std::runtime_error &e) {
-            std::cerr << "fatal: " << e.what() << "\n";
-            return 2;
-        }
+    FlagTable cli("sensitivity_memory — memory-hierarchy sensitivity");
+    cli.flag("--scale", "S", "workload scale [0.1]", scale);
+    cli.flag("--max-insts", "N", "trace length cap [60000]", max_insts);
+    cli.jobs(jobs);
+    try {
+        cli.parse(argc, argv);
+    } catch (const std::runtime_error &e) {
+        std::cerr << "fatal: " << e.what() << "\n";
+        return 2;
     }
 
     // compress is branchy/memory-light, su2cor is the vector code whose

@@ -5,15 +5,17 @@
  *
  * Usage: simulate_benchmark [benchmark] [machine] [scheduler] [scale]
  *   benchmark: compress | doduc | gcc1 | ora | su2cor | tomcatv
- *   machine:   single8 | dual8 | single4 | dual4
- *   scheduler: native | local | roundrobin
+ *   machine:   single8 | dual8 | single4 | dual4 | quad8 | octa8
+ *   scheduler: native | local | roundrobin | multilevel
+ * An unknown name prints one `fatal:` line and exits 1.
  *
- * Demonstrates the full public API surface: workload generation, the
- * compilation pipeline, machine configuration, and a detailed run
- * through runner::simulate that records into a caller-owned
- * statistics registry.
+ * Demonstrates the full public API surface: a runner::JobSpec naming
+ * the point, workload generation, the compilation pipeline, the
+ * machine configuration, and a detailed run through runner::simulate
+ * that records into a caller-owned statistics registry.
  */
 
+#include <exception>
 #include <iostream>
 #include <string>
 
@@ -28,58 +30,48 @@ main(int argc, char **argv)
 {
     using namespace mca;
 
-    const std::string bench_name = argc > 1 ? argv[1] : "compress";
-    const std::string machine = argc > 2 ? argv[2] : "dual8";
-    const std::string sched = argc > 3 ? argv[3] : "local";
-    const double scale = positionalDouble(argc, argv, 4, "scale", 0.2);
+    // 1. Name the point: the same spec a campaign job would run, so an
+    //    unknown name is an error rather than some other machine.
+    runner::JobSpec spec;
+    spec.benchmark = argc > 1 ? argv[1] : "compress";
+    spec.machine = argc > 2 ? argv[2] : "dual8";
+    spec.scheduler = argc > 3 ? argv[3] : "local";
+    spec.scale = positionalDouble(argc, argv, 4, "scale", 0.2);
+    spec.maxInsts = 400'000;
+    core::ProcessorConfig cfg;
+    try {
+        spec.validate();
+        cfg = runner::machineConfigFor(spec);
+    } catch (const std::exception &e) {
+        std::cerr << "fatal: " << e.what() << "\n";
+        return 1;
+    }
 
-    // 1. Generate the workload program.
+    // 2. Generate the workload program.
     workloads::WorkloadParams wp;
-    wp.scale = scale;
+    wp.scale = spec.scale;
     const prog::Program program =
-        workloads::benchmarkByName(bench_name).make(wp);
+        workloads::benchmarkByName(spec.benchmark).make(wp);
     std::cout << "program '" << program.name << "': "
               << program.staticInstCount() << " static instructions, "
               << program.values.size() << " live ranges\n";
 
-    // 2. Compile it for the target machine.
-    compiler::CompileOptions copt;
-    if (sched == "native") {
-        copt.scheduler = compiler::SchedulerKind::Native;
-        copt.numClusters = 1;
-    } else if (sched == "roundrobin") {
-        copt.scheduler = compiler::SchedulerKind::RoundRobin;
-        copt.numClusters = 2;
-    } else {
-        copt.scheduler = compiler::SchedulerKind::Local;
-        copt.numClusters = 2;
-    }
-    const auto out = compiler::compile(program, copt);
+    // 3. Compile it for the machine's cluster count.
+    const auto out = compiler::compile(
+        program, runner::jobCompileOptions(spec, cfg.numClusters));
     std::cout << "compiled: " << out.binary.staticInstCount()
               << " machine instructions, "
               << out.alloc.memorySpills << " ranges spilled to memory, "
               << out.alloc.otherClusterSpills
               << " recolored across clusters\n";
 
-    // 3. Configure the machine and run.
-    core::ProcessorConfig cfg;
-    unsigned clusters = 2;
-    if (machine == "single8") {
-        cfg = core::ProcessorConfig::singleCluster8();
-        clusters = 1;
-    } else if (machine == "single4") {
-        cfg = core::ProcessorConfig::singleCluster4();
-        clusters = 1;
-    } else if (machine == "dual4") {
-        cfg = core::ProcessorConfig::dualCluster4();
-    } else {
-        cfg = core::ProcessorConfig::dualCluster8();
-    }
-    const std::string label = bench_name + "@" + machine;
+    // 4. Run it, recording into a registry this program owns.
+    const std::string label = spec.benchmark + "@" + spec.machine;
     StatGroup stats(label);
     const auto result = runner::requireOk(
-        runner::simulate(out.binary, out.hardwareMap(clusters), cfg, 42,
-                         400'000, 100'000'000, &stats),
+        runner::simulate(out.binary, out.hardwareMap(cfg.numClusters), cfg,
+                         spec.traceSeed, spec.maxInsts, spec.maxCycles,
+                         &stats),
         label);
 
     std::cout << "simulated " << result.retired << " instructions in "

@@ -82,18 +82,23 @@ echo "$SUMMARY" | grep -q "compiles: 12 (6 shared)" || {
 
 # N-cluster partitioning smokes: the --clusters machine selection with
 # every partitioner at 4 clusters (verified IR), the Figure-6
-# partitioner comparison, and a 4-cluster mcarun partitioner sweep.
+# partitioner comparison, and a 4-cluster mcarun sweep over the native
+# baseline and every partitioner (one row each).
 for p in local roundrobin multilevel; do
     "$SIM" --benchmark ora --max-insts 5000 --clusters 4 \
-        --partitioner "$p" --verify-ir --quiet >/dev/null
+        --scheduler "$p" --verify-ir --quiet >/dev/null
 done
 "$SIM" --benchmark ora --max-insts 5000 --clusters 8 \
-    --partitioner multilevel --verify-ir --quiet >/dev/null
+    --scheduler multilevel --verify-ir --quiet >/dev/null
 "$BUILD/bench/fig6_partitioning" >/dev/null
-"$BUILD/src/tools/mcarun" --benchmarks compress --machines quad8 \
-    --partitioners local,roundrobin,multilevel --schedulers native \
+ROWS="$("$BUILD/src/tools/mcarun" --benchmarks compress --machines quad8 \
+    --schedulers native,local,roundrobin,multilevel \
     --scale 0.05 --max-insts 20000 --jobs 4 --no-cache --no-table \
-    --quiet >/dev/null
+    --quiet --csv - | grep -c ',quad8,')"
+[ "$ROWS" -eq 4 ] || {
+    echo "ci.sh: quad8 scheduler sweep expected 4 rows, got $ROWS"
+    exit 1
+}
 
 # Hierarchy-flag smoke: an L2-equipped machine with finite fill ports
 # runs end to end with conserved cycle stacks.

@@ -112,8 +112,8 @@ CompileOptions compileOptionsFor(const std::string &scheduler,
                                  unsigned machine_clusters);
 
 /**
- * The partitioner names `--partitioner` accepts: the clustered
- * schedulers, i.e. every SchedulerKind except Native.
+ * The partitioner names: the clustered schedulers, i.e. every
+ * SchedulerKind except Native.
  */
 const std::vector<std::string> &partitionerNames();
 

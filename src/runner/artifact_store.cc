@@ -1,11 +1,11 @@
 #include "runner/artifact_store.hh"
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <thread>
 
 #include "prof/prof.hh"
+#include "support/json.hh"
 #include "support/panic.hh"
 
 namespace mca::runner
@@ -19,15 +19,6 @@ namespace
 // older entries (the pre-ArtifactStore result cache) fail the version
 // check and read as cold; a rerun overwrites them in place.
 constexpr int kFormatVersion = 6;
-
-/** Shortest round-trippable decimal form, stable across platforms. */
-std::string
-formatDouble(double value)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", value);
-    return buf;
-}
 
 } // namespace
 
@@ -147,24 +138,25 @@ ArtifactStore::storeResult(const JobResult &result) const
             << "error\t" << result.error << "\n"
             << "cycles\t" << result.cycles << "\n"
             << "retired\t" << result.retired << "\n"
-            << "ipc\t" << formatDouble(result.ipc) << "\n"
+            << "ipc\t" << canonicalDouble(result.ipc) << "\n"
             << "distSingle\t" << result.distSingle << "\n"
             << "distDual\t" << result.distDual << "\n"
             << "operandForwards\t" << result.operandForwards << "\n"
             << "resultForwards\t" << result.resultForwards << "\n"
             << "replays\t" << result.replays << "\n"
             << "issueDisorder\t" << result.issueDisorder << "\n"
-            << "bpredAccuracy\t" << formatDouble(result.bpredAccuracy) << "\n"
-            << "dcacheMissRate\t" << formatDouble(result.dcacheMissRate)
+            << "bpredAccuracy\t" << canonicalDouble(result.bpredAccuracy)
             << "\n"
-            << "icacheMissRate\t" << formatDouble(result.icacheMissRate)
+            << "dcacheMissRate\t" << canonicalDouble(result.dcacheMissRate)
             << "\n"
-            << "l2MissRate\t" << formatDouble(result.l2MissRate) << "\n"
+            << "icacheMissRate\t" << canonicalDouble(result.icacheMissRate)
+            << "\n"
+            << "l2MissRate\t" << canonicalDouble(result.l2MissRate) << "\n"
             << "spillLoads\t" << result.spillLoads << "\n"
             << "spillStores\t" << result.spillStores << "\n"
             << "otherClusterSpills\t" << result.otherClusterSpills << "\n"
             << "partitionCut\t" << result.partitionCut << "\n"
-            << "partitionBalance\t" << formatDouble(result.partitionBalance)
+            << "partitionBalance\t" << canonicalDouble(result.partitionBalance)
             << "\n"
             << "stackSlots\t" << result.stackSlots << "\n";
         for (std::size_t i = 0; i < obs::kNumStallCauses; ++i)
@@ -173,8 +165,8 @@ ArtifactStore::storeResult(const JobResult &result) const
                 << "\t" << result.stackSlotCycles[i] << "\n";
         out << "sampled\t" << (result.sampled ? 1 : 0) << "\n"
             << "sampledIntervals\t" << result.sampledIntervals << "\n"
-            << "cpiCi95\t" << formatDouble(result.cpiCi95) << "\n"
-            << "wallMs\t" << formatDouble(result.wallMs) << "\n";
+            << "cpiCi95\t" << canonicalDouble(result.cpiCi95) << "\n"
+            << "wallMs\t" << canonicalDouble(result.wallMs) << "\n";
     }
     std::filesystem::rename(tmp, path, ec);
     if (ec) {
@@ -235,9 +227,8 @@ std::string
 ArtifactStore::compileKeyFor(const JobSpec &spec,
                              const compiler::CompileOptions &options)
 {
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", spec.scale);
-    return "benchmark=" + spec.benchmark + ";scale=" + buf + ";" +
+    return "benchmark=" + spec.benchmark +
+           ";scale=" + canonicalDouble(spec.scale) + ";" +
            options.canonicalKey();
 }
 

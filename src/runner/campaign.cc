@@ -65,9 +65,7 @@ expandGrid(const CampaignGrid &grid)
                       spec.predictor = grid.predictor;
                       spec.maxInsts = grid.maxInsts;
                       spec.maxCycles = grid.maxCycles;
-                      spec.profileSeed = grid.profileSeedFollowsTraceSeed
-                                             ? seed
-                                             : spec.profileSeed;
+                      spec.profileSeed = seed;
                       specs.push_back(std::move(spec));
                     }
     return specs;
@@ -97,8 +95,6 @@ runCampaign(const std::vector<JobSpec> &specs,
 {
     const auto start = std::chrono::steady_clock::now();
     ArtifactStore store(options.cacheDir);
-    ArtifactStore *const compileStore =
-        options.compileCache ? &store : nullptr;
 
     std::vector<JobResult> results(specs.size());
     std::mutex progressMutex;
@@ -141,14 +137,12 @@ runCampaign(const std::vector<JobSpec> &specs,
         const taskgraph::NodeId sim = graph.add(
             spec.benchmark + "/" + spec.machine + "/" + spec.scheduler,
             spec.samplePeriod > 0 ? "sample" : "sim", [&, i] {
-                JobResult result = runJob(specs[i], compileStore);
+                JobResult result = runJob(specs[i], &store);
                 store.storeResult(result);
                 settle(i, std::move(result));
             });
         simNodes.emplace_back(i, sim);
 
-        if (!compileStore)
-            continue;
         // Keying needs the validated machine shape; a spec that fails
         // here will fail identically inside runJob, which owns the
         // error reporting — leave its node without a compile edge.

@@ -67,12 +67,13 @@ struct CampaignGrid
     std::uint64_t sampleWarmup = 2'000;
     std::uint64_t maxInsts = 300'000;
     Cycle maxCycles = 100'000'000;
-    /** Tie each spec's profileSeed to its traceSeed (Table-2 harness
-     *  convention). When false, profileSeed stays at the spec default. */
-    bool profileSeedFollowsTraceSeed = true;
 };
 
-/** Flatten the grid. Throws std::runtime_error if any axis is empty. */
+/**
+ * Flatten the grid. Each spec's profileSeed is its traceSeed (the
+ * Table-2 harness convention), so the seed axis names the whole run.
+ * Throws std::runtime_error if any axis is empty.
+ */
 std::vector<JobSpec> expandGrid(const CampaignGrid &grid);
 
 /** Aggregate campaign outcome. */
@@ -85,7 +86,7 @@ struct CampaignSummary
     std::size_t fromCache = 0;
     double wallMs = 0.0; ///< whole-campaign wall clock
 
-    // Compile-cache outcome (zero when the cache is disabled).
+    // Compile-sharing outcome.
     /** Compiler invocations == distinct (workload, compile-config)
      *  pairs among the jobs that actually ran. */
     std::uint64_t compiles = 0;
@@ -105,11 +106,10 @@ struct CampaignOptions
 {
     /** Worker width (1 = serial; results are identical either way). */
     unsigned jobs = 1;
-    /** Cache directory; empty disables caching. */
+    /** Cache directory; empty disables caching. Compiles are shared
+     *  across jobs with equal (workload, compile-config) keys either
+     *  way (see artifact_store.hh). */
     std::string cacheDir;
-    /** Share compiles across jobs with equal (workload, compile-config)
-     *  keys (see artifact_store.hh). Results are identical either way. */
-    bool compileCache = true;
     /**
      * Called after each job settles, under a lock (safe to write to a
      * stream), with (finished-count, total, just-finished result).

@@ -1,6 +1,5 @@
 #include "runner/jobspec.hh"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -18,6 +17,8 @@
 #include "runner/artifact_store.hh"
 #include "sample/driver.hh"
 #include "sample/spec.hh"
+#include "support/flags.hh"
+#include "support/json.hh"
 #include "support/panic.hh"
 #include "support/stats.hh"
 #include "workloads/workloads.hh"
@@ -27,37 +28,6 @@ namespace mca::runner
 
 namespace
 {
-
-/** Shortest round-trippable decimal form, stable across platforms. */
-std::string
-canonicalDouble(double value)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", value);
-    return buf;
-}
-
-std::string
-joinChoices(const std::vector<std::string> &choices)
-{
-    std::string out;
-    for (const auto &c : choices) {
-        if (!out.empty())
-            out += "|";
-        out += c;
-    }
-    return out;
-}
-
-void
-requireOneOf(const std::string &value, const std::vector<std::string> &valid,
-             const char *field)
-{
-    if (std::find(valid.begin(), valid.end(), value) == valid.end())
-        throw std::runtime_error(std::string("unknown ") + field + " '" +
-                                 value + "' (valid: " +
-                                 joinChoices(valid) + ")");
-}
 
 /**
  * Sampled job: one functional warming pass + K detailed intervals
@@ -213,11 +183,16 @@ JobSpec::contentHash() const
 void
 JobSpec::validate() const
 {
-    requireOneOf(benchmark, validBenchmarks(), "benchmark");
-    requireOneOf(machine, validMachines(), "machine");
-    requireOneOf(scheduler, validSchedulers(), "scheduler");
+    checkChoice(benchmark, validBenchmarks(), "benchmark");
+    checkChoice(machine, validMachines(), "machine");
+    checkChoice(scheduler, validSchedulers(), "scheduler");
     if (!predictor.empty())
-        requireOneOf(predictor, validPredictors(), "predictor");
+        checkChoice(predictor, validPredictors(), "predictor");
+    // The workload generators cast scale x trip count to an unsigned
+    // integer, which is undefined outside this range.
+    if (!(scale >= 0.0 && scale <= 1e6))
+        throw std::runtime_error("scale must be in [0, 1e6], got " +
+                                 canonicalDouble(scale));
     if (maxInsts == 0)
         throw std::runtime_error("maxInsts must be positive");
     if (maxCycles == 0)

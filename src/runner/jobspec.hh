@@ -89,7 +89,8 @@ struct JobSpec
     std::uint64_t sampleWarmup = 2'000;
 
     std::uint64_t traceSeed = 42;
-    /** Seed for the profiling run (paper harness ties it to traceSeed). */
+    /** Seed for the compiler's profiling run; expandGrid, table2Jobs and
+     *  mcasim set it to traceSeed, so a seed names the whole run. */
     std::uint64_t profileSeed = 42;
     std::uint64_t maxInsts = 300'000;
     /**
@@ -110,8 +111,10 @@ struct JobSpec
     std::string contentHash() const;
 
     /**
-     * Throw std::runtime_error naming the offending field and the valid
-     * choices if any enumerated field holds an unknown value.
+     * Throw std::runtime_error naming the offending field (and the
+     * valid choices) if an enumerated field holds an unknown value, the
+     * scale lies outside [0, 1e6], a bound is zero, or a sampling plan
+     * is infeasible.
      */
     void validate() const;
 };

@@ -4,31 +4,13 @@
 #include <stdexcept>
 #include <vector>
 
+#include "support/flags.hh"
+
 namespace mca::sample
 {
 
 namespace
 {
-
-std::uint64_t
-parseCount(const std::string &key, const std::string &value)
-{
-    if (value.empty())
-        throw std::runtime_error("sample spec: empty value for '" + key +
-                                 "'");
-    std::uint64_t out = 0;
-    for (char c : value) {
-        if (c < '0' || c > '9')
-            throw std::runtime_error("sample spec: bad number '" + value +
-                                     "' for '" + key + "'");
-        const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-        if (out > (~std::uint64_t{0} - digit) / 10)
-            throw std::runtime_error("sample spec: value '" + value +
-                                     "' for '" + key + "' overflows");
-        out = out * 10 + digit;
-    }
-    return out;
-}
 
 std::vector<std::string>
 splitList(const std::string &text, char sep)
@@ -66,18 +48,22 @@ SampleSpec::parse(const std::string &text)
                 throw std::runtime_error(
                     "sample spec: expected key=value, got '" + item + "'");
             const std::string key = item.substr(0, eq);
-            const std::uint64_t value =
-                parseCount(key, item.substr(eq + 1));
+            const std::string value = item.substr(eq + 1);
+            const std::string flag = "sample spec: " + key;
+            const auto count = [&] {
+                return parseUnsignedFlag(value, flag.c_str());
+            };
             if (key == "period")
-                spec.period = value;
+                spec.period = count();
             else if (key == "detail")
-                spec.detail = value;
+                spec.detail = count();
             else if (key == "warmup")
-                spec.warmup = value;
+                spec.warmup = count();
             else if (key == "offset")
-                spec.offset = value;
-            else if (key == "jobs")
-                spec.jobs = static_cast<unsigned>(value);
+                spec.offset = count();
+            else if (key == "jobs") // a worker count, bounded like --jobs
+                spec.jobs = static_cast<unsigned>(
+                    parseUnsignedFlag(value, flag.c_str(), kMaxJobs));
             else
                 throw std::runtime_error("sample spec: unknown key '" + key +
                                          "'");
@@ -95,9 +81,12 @@ SampleSpec::validate() const
         throw std::runtime_error("sample spec: period must be >= 1");
     if (detail == 0)
         throw std::runtime_error("sample spec: detail must be >= 1");
-    if (warmup + detail > period)
+    // Written so that no sum can wrap: warmup + detail <= period.
+    if (warmup > period || detail > period - warmup)
         throw std::runtime_error(
-            "sample spec: warmup+detail exceeds period (intervals overlap)");
+            "sample spec: warmup+detail (" + std::to_string(warmup) + "+" +
+            std::to_string(detail) + ") exceeds period " +
+            std::to_string(period) + " (intervals overlap)");
     if (jobs == 0)
         throw std::runtime_error("sample spec: jobs must be >= 1");
 }

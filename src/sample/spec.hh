@@ -51,7 +51,8 @@ struct SampleSpec
     std::uint64_t warmup = 2'000;
     /** First-interval start for Periodic mode (ignored by Systematic). */
     std::uint64_t offset = 0;
-    /** Measurement workers; 1 = serial (same code path, same result). */
+    /** Measurement workers, 1..kMaxJobs; 1 = serial (same code path,
+     *  same result). */
     unsigned jobs = 1;
 
     /**

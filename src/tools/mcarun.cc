@@ -19,19 +19,15 @@
  *   mcarun --benchmarks compress --thresholds 1,2,4,8,16,32 --csv -
  */
 
-#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <iostream>
-#include <limits>
 #include <optional>
-#include <sstream>
+#include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "compiler/pipeline.hh"
 #include "obs/cycle_stack.hh"
 #include "runner/campaign.hh"
 #include "runner/emit.hh"
@@ -57,82 +53,12 @@ struct Options
     unsigned jobs = 1;
     std::string cacheDir = ".mcarun-cache";
     bool noCache = false;
-    bool noCompileCache = false;
     std::string jsonOut;
     std::string csvOut;
     std::string telemetryOut;
     bool quiet = false;
-    bool printTable = true;
+    bool noTable = false;
 };
-
-void
-usage()
-{
-    auto joined = [](const std::vector<std::string> &v) {
-        std::string out;
-        for (const auto &s : v)
-            out += (out.empty() ? "" : "|") + s;
-        return out;
-    };
-    std::cout <<
-        "mcarun — parallel experiment-campaign driver\n\n"
-        "grid axes (comma-separated lists; 'all' = every benchmark):\n"
-        "  --benchmarks LIST    " + joined(runner::validBenchmarks()) +
-        " [compress]\n"
-        "  --machines LIST      " + joined(runner::validMachines()) +
-        " [dual8]\n"
-        "  --schedulers LIST    " + joined(runner::validSchedulers()) +
-        " [local]\n"
-        "  --partitioners LIST  " + joined(compiler::partitionerNames()) +
-        "\n"
-        "                       (appended to --schedulers; the scheduler\n"
-        "                       axis is the partitioner axis)\n"
-        "  --thresholds LIST    local-scheduler imbalance thresholds [4]\n"
-        "  --trace-seeds LIST   trace interpreter seeds [42]\n"
-        "  --l2-kb LIST         shared-L2 sizes in KB (0 = no L2) [0]\n"
-        "  --l2-lat LIST        L2 hit latencies in cycles [6]\n"
-        "  --mem-lat LIST       memory backside latencies in cycles [16]\n"
-        "  --sample-periods LIST  sampled-run interval periods; 0 = full\n"
-        "                       detailed run (docs/sampling.md) [0]\n\n"
-        "shared job parameters:\n"
-        "  --fill-ports N       fills/cycle per level (0 = unlimited) [0]\n"
-        "  --scale X            workload scale [0.2]\n"
-        "  --unroll N           unroll factor [1]\n"
-        "  --predictor KIND     " + joined(runner::validPredictors()) +
-        " [machine default]\n"
-        "  --sample-detail N    measured insts per sampled interval "
-        "[10000]\n"
-        "  --sample-warmup N    detailed-warmup insts per interval [2000]\n"
-        "  --max-insts N        trace length cap [300000]\n"
-        "  --max-cycles N       cycle budget; exceeding it = timeout "
-        "[100000000]\n\n"
-        "campaign presets:\n"
-        "  --table2             run the Table-2 experiment (3 jobs per\n"
-        "                       benchmark) and print the speedup table\n\n"
-        "execution:\n"
-        "  --jobs N|auto        worker threads [1; auto = all hardware "
-        "threads];\n"
-        "                       results identical at any width\n"
-        "  --cache DIR          result-cache directory [.mcarun-cache]\n"
-        "  --no-cache           disable the result cache\n"
-        "  --no-compile-cache   compile every job separately (default:\n"
-        "                       jobs with equal workload + compile\n"
-        "                       config share one compile)\n\n"
-        "output:\n"
-        "  --out FILE           JSON-lines results ('-' = stdout)\n"
-        "  --csv FILE           CSV results ('-' = stdout)\n"
-        "  --telemetry FILE     live campaign heartbeat as JSON lines:\n"
-        "                       one record per finished job with done/\n"
-        "                       total, ETA, aggregate sim-cycles/s, and\n"
-        "                       cache-hit rates (docs/profiling.md)\n"
-        "  --log-level LVL      debug|info|warn|error|off [info; or env\n"
-        "                       MCA_LOG_LEVEL]\n"
-        "  --no-table           skip the human-readable table\n"
-        "  --quiet              no progress line\n\n"
-        "introspection:\n"
-        "  --version            print the version string and exit\n"
-        "  --list-benchmarks    print the benchmark names, one per line\n";
-}
 
 [[noreturn]] void
 die(const std::string &msg)
@@ -141,209 +67,124 @@ die(const std::string &msg)
     std::exit(2);
 }
 
-std::vector<std::string>
-splitList(const std::string &arg)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(arg);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        if (!item.empty())
-            out.push_back(item);
-    return out;
-}
-
-std::string
-joinChoices(const std::vector<std::string> &choices)
-{
-    std::string out;
-    for (const auto &c : choices)
-        out += (out.empty() ? "" : ", ") + c;
-    return out;
-}
-
-/** Validate every element of a list axis against the known choices. */
-void
-checkChoices(const std::vector<std::string> &values,
-             const std::vector<std::string> &valid, const char *axis)
-{
-    for (const auto &v : values)
-        if (std::find(valid.begin(), valid.end(), v) == valid.end())
-            die(std::string("unknown ") + axis + " '" + v +
-                "' (valid: " + joinChoices(valid) + ")");
-}
+/** Grid flags the --table2 preset does not read: it runs its own fixed
+ *  benchmark x machine x scheduler grid on the paper's machines. */
+constexpr const char *kNotForTable2[] = {
+    "--benchmarks",     "--machines",      "--schedulers",
+    "--l2-kb",          "--l2-lat",        "--mem-lat",
+    "--sample-periods", "--sample-detail", "--sample-warmup",
+    "--fill-ports",     "--unroll",        "--predictor",
+    "--max-cycles",
+};
 
 Options
 parse(int argc, char **argv)
 {
     Options opt;
-    std::vector<std::string> args(argv + 1, argv + argc);
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string &a = args[i];
-        auto need = [&](const char *what) -> std::string {
-            if (i + 1 >= args.size())
-                die(std::string("missing value for ") + what);
-            return args[++i];
-        };
-        // Checked numeric values: a malformed one throws, and main
-        // reports it as an error naming the flag.
-        auto needU64 = [&](const char *what) {
-            return parseUnsignedFlag(need(what), what);
-        };
-        auto needUnsigned = [&](const char *what) {
-            return static_cast<unsigned>(parseUnsignedFlag(
-                need(what), what, std::numeric_limits<unsigned>::max()));
-        };
-        auto needU64List = [&](const char *what) {
-            std::vector<std::uint64_t> out;
-            for (const auto &s : splitList(need(what)))
-                out.push_back(parseUnsignedFlag(s, what));
-            return out;
-        };
-        auto needUnsignedList = [&](const char *what) {
-            std::vector<unsigned> out;
-            for (const auto &s : splitList(need(what)))
-                out.push_back(static_cast<unsigned>(parseUnsignedFlag(
-                    s, what, std::numeric_limits<unsigned>::max())));
-            return out;
-        };
-        if (a == "--help" || a == "-h") {
-            usage();
-            std::exit(0);
-        } else if (a == "--version") {
-            std::cout << "mcarun " << MCA_VERSION_STRING << "\n";
-            std::exit(0);
-        } else if (a == "--list-benchmarks") {
-            for (const auto &name : runner::validBenchmarks())
-                std::cout << name << "\n";
-            std::exit(0);
-        } else if (a == "--benchmarks") {
-            const std::string value = need("--benchmarks");
-            opt.grid.benchmarks = value == "all"
-                                      ? runner::validBenchmarks()
-                                      : splitList(value);
-        } else if (a == "--machines") {
-            opt.grid.machines = splitList(need("--machines"));
-        } else if (a == "--schedulers") {
-            opt.grid.schedulers = splitList(need("--schedulers"));
-        } else if (a == "--partitioners") {
-            // Partitioners ARE schedulers (the scheduler name selects
-            // the partition pass); this axis just restricts the valid
-            // set to the partition-capable ones and appends.
-            const auto names = splitList(need("--partitioners"));
-            checkChoices(names, compiler::partitionerNames(),
-                         "partitioner");
-            for (const auto &name : names)
-                if (std::find(opt.grid.schedulers.begin(),
-                              opt.grid.schedulers.end(),
-                              name) == opt.grid.schedulers.end())
-                    opt.grid.schedulers.push_back(name);
-        } else if (a == "--thresholds") {
-            opt.grid.thresholds = needUnsignedList("--thresholds");
-        } else if (a == "--trace-seeds") {
-            opt.grid.traceSeeds = needU64List("--trace-seeds");
-        } else if (a == "--l2-kb") {
-            opt.grid.l2Kbs = needUnsignedList("--l2-kb");
-        } else if (a == "--l2-lat") {
-            opt.grid.l2Lats = needUnsignedList("--l2-lat");
-        } else if (a == "--mem-lat") {
-            opt.grid.memLats = needUnsignedList("--mem-lat");
-        } else if (a == "--sample-periods") {
-            opt.grid.samplePeriods = needU64List("--sample-periods");
-        } else if (a == "--sample-detail") {
-            opt.grid.sampleDetail = needU64("--sample-detail");
-        } else if (a == "--sample-warmup") {
-            opt.grid.sampleWarmup = needU64("--sample-warmup");
-        } else if (a == "--fill-ports") {
-            opt.grid.fillPorts = needUnsigned("--fill-ports");
-        } else if (a == "--scale") {
-            opt.grid.scale = parseDoubleFlag(need("--scale"), "--scale");
-        } else if (a == "--unroll") {
-            opt.grid.unroll = needUnsigned("--unroll");
-        } else if (a == "--predictor") {
-            opt.grid.predictor = need("--predictor");
-        } else if (a == "--max-insts") {
-            opt.grid.maxInsts = needU64("--max-insts");
-        } else if (a == "--max-cycles") {
-            opt.grid.maxCycles = needU64("--max-cycles");
-        } else if (a == "--table2") {
-            opt.table2 = true;
-        } else if (a == "--jobs" || a == "-j") {
-            // Parse-time validation: junk or 0 dies here, before any
-            // compile or simulation starts. "auto" asks the host.
-            const std::string v = need("--jobs");
-            if (v == "auto") {
-                const unsigned hw = std::thread::hardware_concurrency();
-                opt.jobs = hw ? hw : 1;
-            } else {
-                opt.jobs = static_cast<unsigned>(
-                    parseUnsignedFlag(v, "--jobs", 4096));
-                if (opt.jobs == 0)
-                    die("--jobs expects a positive worker count "
-                        "(1..4096) or 'auto', got '" + v + "'");
-            }
-        } else if (a == "--cache") {
-            opt.cacheDir = need("--cache");
-        } else if (a == "--no-cache") {
-            opt.noCache = true;
-        } else if (a == "--no-compile-cache") {
-            opt.noCompileCache = true;
-        } else if (a == "--out") {
-            opt.jsonOut = need("--out");
-        } else if (a == "--csv") {
-            opt.csvOut = need("--csv");
-        } else if (a == "--telemetry") {
-            opt.telemetryOut = need("--telemetry");
-        } else if (a == "--log-level") {
-            const std::string text = need("--log-level");
-            log::Level level;
-            if (!log::parseLevel(text, level))
-                die("unknown log level '" + text +
-                    "' (valid: debug, info, warn, error, off)");
-            log::setThreshold(level);
-        } else if (a == "--no-table") {
-            opt.printTable = false;
-        } else if (a == "--quiet") {
-            opt.quiet = true;
-        } else {
-            usage();
-            die("unknown argument: " + a);
-        }
-    }
+    runner::CampaignGrid &grid = opt.grid;
+    FlagTable cli("mcarun — parallel experiment-campaign driver");
 
-    checkChoices(opt.grid.benchmarks, runner::validBenchmarks(),
-                 "benchmark");
-    checkChoices(opt.grid.machines, runner::validMachines(), "machine");
-    checkChoices(opt.grid.schedulers, runner::validSchedulers(),
-                 "scheduler");
-    if (!opt.grid.predictor.empty())
-        checkChoices({opt.grid.predictor}, runner::validPredictors(),
-                     "predictor");
-    // Memory-axis geometry errors (an L2 size with a non-power-of-two
-    // set count, a zero memory latency) surface here as one parse-time
-    // error instead of a column of Failed jobs after the run.
-    for (unsigned l2kb : opt.grid.l2Kbs)
-        for (unsigned l2lat : opt.grid.l2Lats)
-            for (unsigned memlat : opt.grid.memLats) {
-                runner::JobSpec probe;
-                if (!opt.grid.machines.empty())
-                    probe.machine = opt.grid.machines.front();
-                probe.l2Kb = l2kb;
-                probe.l2Lat = l2lat;
-                probe.memLat = memlat;
-                probe.fillPorts = opt.grid.fillPorts;
-                try {
-                    runner::machineConfigFor(probe);
-                } catch (const std::exception &e) {
-                    die(e.what());
+    cli.section("grid axes (comma-separated lists):");
+    std::string benchmarkHelp;
+    for (const auto &name : runner::validBenchmarks())
+        benchmarkHelp += name + "|";
+    cli.add("--benchmarks", "LIST",
+            benchmarkHelp + "all (every benchmark) [compress]",
+            [&](const std::string &v) {
+                if (v == "all") {
+                    grid.benchmarks = runner::validBenchmarks();
+                    return;
                 }
-            }
-    // Same early surfacing for infeasible sampling plans.
-    for (std::uint64_t period : opt.grid.samplePeriods)
-        if (period > 0 &&
-            opt.grid.sampleWarmup + opt.grid.sampleDetail > period)
-            die("sample warmup+detail exceeds period " +
-                std::to_string(period) + " (intervals would overlap)");
+                grid.benchmarks = splitList(v);
+                for (const auto &name : grid.benchmarks)
+                    checkChoice(name, runner::validBenchmarks(),
+                                "--benchmarks");
+            });
+    cli.list("--machines", "LIST", "[dual8]", grid.machines,
+             runner::validMachines());
+    cli.list("--schedulers", "LIST", "[local]", grid.schedulers,
+             runner::validSchedulers());
+    cli.list("--thresholds", "LIST",
+             "local-scheduler imbalance thresholds [4]", grid.thresholds);
+    cli.list("--trace-seeds", "LIST",
+             "trace interpreter seeds, each also the compiler's "
+             "profiling-run seed [42]",
+             grid.traceSeeds);
+    cli.list("--l2-kb", "LIST", "shared-L2 sizes in KB (0 = no L2) [0]",
+             grid.l2Kbs);
+    cli.list("--l2-lat", "LIST", "L2 hit latencies in cycles [6]",
+             grid.l2Lats);
+    cli.list("--mem-lat", "LIST", "memory backside latencies in cycles [16]",
+             grid.memLats);
+    cli.list("--sample-periods", "LIST",
+             "sampled-run interval periods; 0 = full detailed run "
+             "(docs/sampling.md) [0]",
+             grid.samplePeriods);
+
+    cli.section("shared job parameters:");
+    cli.flag("--fill-ports", "N", "fills/cycle per level (0 = unlimited) [0]",
+             grid.fillPorts);
+    cli.flag("--scale", "X", "workload scale [0.2]", grid.scale);
+    cli.flag("--unroll", "N", "unroll factor [1]", grid.unroll);
+    cli.choice("--predictor", "KIND", "[machine default]", grid.predictor,
+               runner::validPredictors());
+    cli.flag("--sample-detail", "N",
+             "measured insts per sampled interval [10000]",
+             grid.sampleDetail);
+    cli.flag("--sample-warmup", "N",
+             "detailed-warmup insts per interval [2000]", grid.sampleWarmup);
+    cli.flag("--max-insts", "N", "trace length cap [300000]", grid.maxInsts);
+    cli.flag("--max-cycles", "N",
+             "cycle budget; exceeding it = timeout [100000000]",
+             grid.maxCycles);
+
+    cli.section("campaign presets:");
+    cli.flag("--table2",
+             "run the Table-2 experiment (3 jobs per benchmark) and print "
+             "the speedup table; of the grid flags it reads only --scale, "
+             "--max-insts and one --thresholds and --trace-seeds value",
+             opt.table2);
+
+    cli.section("execution:");
+    cli.jobs(opt.jobs);
+    cli.flag("--cache", "DIR", "result-cache directory [.mcarun-cache]",
+             opt.cacheDir);
+    cli.flag("--no-cache", "disable the result cache", opt.noCache);
+
+    cli.section("output:");
+    cli.flag("--out", "FILE", "JSON-lines results ('-' = stdout)",
+             opt.jsonOut);
+    cli.flag("--csv", "FILE", "CSV results ('-' = stdout)", opt.csvOut);
+    cli.flag("--telemetry", "FILE",
+             "live campaign heartbeat as JSON lines: one record per "
+             "finished job with done/total, ETA, aggregate sim-cycles/s, "
+             "and cache-hit rates (docs/profiling.md)",
+             opt.telemetryOut);
+    cli.flag("--no-table", "skip the human-readable table", opt.noTable);
+    cli.flag("--quiet", "no progress line", opt.quiet);
+
+    cli.section("general:");
+    cli.standard(std::string("mcarun ") + MCA_VERSION_STRING,
+                 runner::validBenchmarks());
+
+    cli.parse(argc, argv);
+
+    // The preset fails closed: a flag it would silently ignore is an
+    // error, not a different experiment than the one asked for.
+    if (opt.table2) {
+        for (const char *flag : kNotForTable2)
+            if (cli.given(flag))
+                throw std::runtime_error(
+                    std::string("--table2 runs a fixed grid and does not "
+                                "honour ") +
+                    flag);
+        if (grid.thresholds.size() > 1)
+            throw std::runtime_error(
+                "--table2 takes one --thresholds value");
+        if (grid.traceSeeds.size() > 1)
+            throw std::runtime_error(
+                "--table2 takes one --trace-seeds value");
+    }
     return opt;
 }
 
@@ -461,22 +302,14 @@ printTable2Attribution(const std::vector<harness::Table2Row> &rows)
     table.print(std::cout);
 }
 
-} // namespace
-
+/** The whole run; a malformed command line or grid throws. */
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
-    Options opt;
-    try {
-        opt = parse(argc, argv);
-    } catch (const std::exception &e) {
-        die(e.what());
-    }
-
+    const Options opt = parse(argc, argv);
     runner::CampaignOptions campaign;
     campaign.jobs = opt.jobs;
     campaign.cacheDir = opt.noCache ? "" : opt.cacheDir;
-    campaign.compileCache = !opt.noCompileCache;
     // The progress line goes to stderr so piped/captured results stay
     // clean; suppress it when stdout is the results sink anyway.
     runner::ProgressPrinter progress(std::cerr, !opt.quiet);
@@ -487,11 +320,7 @@ main(int argc, char **argv)
     // ordered (done increments by exactly 1 per line).
     std::optional<runner::TelemetryWriter> telemetry;
     if (!opt.telemetryOut.empty()) {
-        try {
-            telemetry.emplace(opt.telemetryOut);
-        } catch (const std::exception &e) {
-            die(e.what());
-        }
+        telemetry.emplace(opt.telemetryOut);
         campaign.onResult = [&](std::size_t finished, std::size_t total,
                                 const runner::JobResult &result) {
             progress(finished, total, result);
@@ -516,11 +345,14 @@ main(int argc, char **argv)
         table2Rows = std::move(result.rows);
         summary = result.summary;
     } else {
-        std::vector<runner::JobSpec> specs;
-        try {
-            specs = runner::expandGrid(opt.grid);
-        } catch (const std::exception &e) {
-            die(e.what());
+        const std::vector<runner::JobSpec> specs =
+            runner::expandGrid(opt.grid);
+        // A bad point (an L2 size with a non-power-of-two set count, a
+        // sample plan whose intervals overlap) is one error here, not a
+        // column of Failed jobs after the run.
+        for (const runner::JobSpec &spec : specs) {
+            spec.validate();
+            runner::machineConfigFor(spec);
         }
         if (telemetry)
             telemetry->start(specs.size(), opt.jobs);
@@ -535,7 +367,7 @@ main(int argc, char **argv)
     if (!opt.csvOut.empty())
         writeResults(opt.csvOut, results, /*csv=*/true);
 
-    if (opt.printTable) {
+    if (!opt.noTable) {
         if (opt.table2) {
             printTable2(table2Rows);
             printTable2Attribution(table2Rows);
@@ -552,4 +384,16 @@ main(int argc, char **argv)
                          runner::jobStatusName(r.status), ": ", r.error);
     runner::emitSummary(std::cerr, summary);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return run(argc, argv);
+    } catch (const std::exception &e) {
+        die(e.what());
+    }
 }

@@ -21,6 +21,7 @@
 #include <iostream>
 #include <limits>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -54,37 +55,32 @@ using namespace mca;
 
 struct Options
 {
-    std::string benchmark;
+    /**
+     * The point this run simulates (workload, compile, machine and
+     * run-control fields), built and compiled exactly as mcarun builds
+     * the same named point.
+     */
+    runner::JobSpec spec;
     std::optional<std::uint64_t> randomSeed;
-    std::string machine = "dual8";
-    std::string scheduler = "local";
-    double scale = 0.2;
-    std::uint64_t maxInsts = 300'000;
-    std::uint64_t traceSeed = 42;
-    unsigned threshold = 4;
-    unsigned unroll = 1;
-    unsigned clusters = 0; // 0 = implied by machine
+    std::string loadTrace;
+    unsigned clusters = 0;   // 0 = implied by machine
     bool machineSet = false; // --machine given explicitly
+
+    // Per-flag overrides of the named machine.
     std::optional<unsigned> dqEntries;
     std::optional<unsigned> otbEntries;
     std::optional<unsigned> rtbEntries;
     std::optional<unsigned> mshrEntries;
-    // Memory hierarchy (defaults = paper mode; docs/memory.md).
     std::optional<unsigned> icacheKb;
     std::optional<unsigned> dcacheKb;
-    std::optional<unsigned> l2Kb;
-    std::optional<unsigned> l2Lat;
-    std::optional<unsigned> memLat;
-    std::optional<unsigned> fillPorts;
     std::string queueMode;
-    std::string predictor;
+    std::string issueEngine;
     bool specHistory = false;
     bool reserveOldest = false;
     bool paranoid = false;
-    std::string issueEngine;
     bool noIdleSkip = false;
+
     std::string saveTrace;
-    std::string loadTrace;
     bool dumpStats = false;
     bool jsonStats = false;
     bool dumpBinary = false;
@@ -115,340 +111,210 @@ struct Options
     bool profHw = false;     // sample perf_event hardware counters
 };
 
-void
-usage()
-{
-    std::cout <<
-        "mcasim — multicluster architecture simulator\n\n"
-        "workload (choose one):\n"
-        "  --benchmark NAME     compress|doduc|gcc1|ora|su2cor|tomcatv\n"
-        "  --random-seed N      random fuzzer program\n"
-        "  --load-trace FILE    replay a saved trace file\n\n"
-        "compilation:\n"
-        "  --scheduler KIND     native|local|roundrobin|multilevel "
-        "[local]\n"
-        "  --partitioner KIND   local|roundrobin|multilevel — alias of\n"
-        "                       --scheduler restricted to the clustered\n"
-        "                       partitioners (docs/compiler.md)\n"
-        "  --threshold N        local-scheduler imbalance threshold [4]\n"
-        "  --unroll N           unroll counted self-loops [1]\n"
-        "  --scale X            workload scale [0.2]\n"
-        "  --verify-ir          check IR invariants between passes\n"
-        "  --dump-after LIST    print the IR after these passes\n"
-        "                       (comma-separated names or 'all')\n"
-        "  --pass-stats         per-pass wall clock + IR deltas\n"
-        "  --list-passes        print the pass registry and exit\n\n"
-        "machine:\n"
-        "  --machine NAME       single8|dual8|single4|dual4|quad8|octa8\n"
-        "                       [dual8]\n"
-        "  --clusters N         N-cluster split of the 8-way machine\n"
-        "                       (1|2|4|8, = multiCluster8(N)); must agree\n"
-        "                       with --machine when both are given\n"
-        "  --dq N               dispatch-queue entries per cluster\n"
-        "  --otb N --rtb N      transfer-buffer entries per cluster\n"
-        "  --mshr N             explicit MSHR entries (0 = inverted)\n"
-        "  --queue-mode KIND    window|rs (hold entries to retire/issue)\n"
-        "  --predictor KIND     mcfarling|gshare|bimodal|taken|nottaken\n"
-        "  --spec-history       speculative global history\n"
-        "  --reserve-oldest     reserve a buffer entry for the oldest\n"
-        "  --issue-engine KIND  scan|event issue scheduler [event]\n"
-        "  --no-idle-skip       disable the idle-cycle fast-forward\n"
-        "  --paranoid           check core invariants every cycle (slow)\n\n"
-        "memory hierarchy (docs/memory.md; defaults = paper mode):\n"
-        "  --icache-kb N        L1 instruction-cache size in KB [64]\n"
-        "  --dcache-kb N        L1 data-cache size in KB [64]\n"
-        "  --l2-kb N            shared L2 size in KB (0 = no L2) [0]\n"
-        "  --l2-lat N           L2 hit latency in cycles [6]\n"
-        "  --mem-lat N          memory backside latency in cycles [16]\n"
-        "  --fill-ports N       fills/cycle per level (0 = unlimited) [0]\n\n"
-        "run control:\n"
-        "  --max-insts N        trace length cap [300000]\n"
-        "  --trace-seed N       trace interpreter seed [42]\n"
-        "  --save-trace FILE    write the trace file and exit\n"
-        "  --dump-stats         dump the full statistics registry\n"
-        "  --json               dump statistics as JSON\n"
-        "  --dump-binary        print the compiled binary's disassembly\n"
-        "  --timeline N         print events for the first N instructions\n"
-        "  --quiet              only the one-line summary\n\n"
-        "checkpoint & sampling (docs/sampling.md):\n"
-        "  --sample SPEC        sampled run: mode:period=N,detail=N,\n"
-        "                       warmup=N[,offset=N][,jobs=N]; mode is\n"
-        "                       systematic or periodic\n"
-        "  --ckpt-out FILE      write a snapshot (at --ckpt-at, or at\n"
-        "                       the end of the run)\n"
-        "  --ckpt-at N          cycle to take the --ckpt-out snapshot\n"
-        "  --ckpt-in FILE       restore a snapshot, then run to the end\n"
-        "  --ckpt-every N       write a snapshot every N cycles\n"
-        "  --ckpt-dir DIR       directory for --ckpt-every files [.]\n\n"
-        "observability (docs/observability.md):\n"
-        "  --cycle-stacks       per-cause retire-slot stall attribution\n"
-        "  --interval-stats N   close a time-series interval every N cycles\n"
-        "  --stats-out FILE     interval rows (JSONL; *.csv writes CSV)\n"
-        "  --trace-out FILE     Chrome trace-event JSON (Perfetto)\n"
-        "  --trace-insts N      instruction slices in the trace [2000]\n\n"
-        "host profiling (docs/profiling.md):\n"
-        "  --prof               profile host time by simulator region\n"
-        "  --prof-out FILE      write the profile as JSON (implies --prof;\n"
-        "                       render with scripts/prof_report.py)\n"
-        "  --prof-hw            also sample hardware counters per region\n"
-        "                       (perf_event_open; falls back to time-only)\n"
-        "  --log-level LVL      debug|info|warn|error|off [info; or env\n"
-        "                       MCA_LOG_LEVEL]\n\n"
-        "introspection:\n"
-        "  --version            print the version string and exit\n"
-        "  --list-benchmarks    print the benchmark names, one per line\n";
-}
-
-/**
- * Reject an unknown value for an enumerated flag at parse time, before
- * any compilation or configuration work, with the valid choices spelled
- * out (scripts should not have to parse --help to recover them).
- */
-void
-checkChoice(const std::string &value,
-            const std::vector<std::string> &valid, const char *flag)
-{
-    if (std::find(valid.begin(), valid.end(), value) != valid.end())
-        return;
-    std::string choices;
-    for (const auto &c : valid)
-        choices += (choices.empty() ? "" : ", ") + c;
-    MCA_FATAL("unknown value '", value, "' for ", flag,
-              " (valid: ", choices, ")");
-}
-
 Options
 parse(int argc, char **argv)
 {
     Options opt;
-    std::vector<std::string> args(argv + 1, argv + argc);
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string &a = args[i];
-        auto need = [&](const char *what) -> std::string {
-            if (i + 1 >= args.size())
-                MCA_FATAL("missing value for ", what);
-            return args[++i];
-        };
-        // Checked numeric values: a malformed one throws, and main
-        // reports it as a fatal error naming the flag.
-        auto needU64 = [&](const char *what) {
-            return parseUnsignedFlag(need(what), what);
-        };
-        auto needUnsigned = [&](const char *what) {
-            return static_cast<unsigned>(parseUnsignedFlag(
-                need(what), what, std::numeric_limits<unsigned>::max()));
-        };
-        if (a == "--help" || a == "-h") {
-            usage();
-            std::exit(0);
-        } else if (a == "--version") {
-            std::cout << "mcasim " << MCA_VERSION_STRING << "\n";
-            std::exit(0);
-        } else if (a == "--list-benchmarks") {
-            for (const auto &name : runner::validBenchmarks())
-                std::cout << name << "\n";
-            std::exit(0);
-        } else if (a == "--benchmark") {
-            opt.benchmark = need("--benchmark");
-            checkChoice(opt.benchmark, runner::validBenchmarks(),
-                        "--benchmark");
-        } else if (a == "--random-seed") {
-            opt.randomSeed = needU64("--random-seed");
-        } else if (a == "--machine") {
-            opt.machine = need("--machine");
-            checkChoice(opt.machine, runner::validMachines(),
-                        "--machine");
-            opt.machineSet = true;
-        } else if (a == "--scheduler") {
-            opt.scheduler = need("--scheduler");
-            checkChoice(opt.scheduler, runner::validSchedulers(),
-                        "--scheduler");
-        } else if (a == "--partitioner") {
-            opt.scheduler = need("--partitioner");
-            checkChoice(opt.scheduler, compiler::partitionerNames(),
-                        "--partitioner");
-        } else if (a == "--clusters") {
-            const unsigned n = needUnsigned("--clusters");
-            // Parse-time guard for the partitioner's int8_t assignment
-            // storage; the machine factory narrows further to 1|2|4|8.
-            if (n == 0 || n > compiler::ClusterAssignment::kMaxClusters)
-                MCA_FATAL("--clusters: cluster count ", n,
-                          " out of range (accepted: 1, 2, 4, or 8)");
-            opt.clusters = n;
-        } else if (a == "--scale") {
-            opt.scale = parseDoubleFlag(need("--scale"), "--scale");
-        } else if (a == "--max-insts") {
-            opt.maxInsts = needU64("--max-insts");
-        } else if (a == "--trace-seed") {
-            opt.traceSeed = needU64("--trace-seed");
-        } else if (a == "--threshold") {
-            opt.threshold = needUnsigned("--threshold");
-        } else if (a == "--unroll") {
-            opt.unroll = needUnsigned("--unroll");
-        } else if (a == "--dq") {
-            opt.dqEntries = needUnsigned("--dq");
-        } else if (a == "--otb") {
-            opt.otbEntries = needUnsigned("--otb");
-        } else if (a == "--rtb") {
-            opt.rtbEntries = needUnsigned("--rtb");
-        } else if (a == "--queue-mode") {
-            opt.queueMode = need("--queue-mode");
-            checkChoice(opt.queueMode, {"window", "rs"}, "--queue-mode");
-        } else if (a == "--mshr") {
-            opt.mshrEntries = needUnsigned("--mshr");
-        } else if (a == "--icache-kb") {
-            opt.icacheKb = needUnsigned("--icache-kb");
-        } else if (a == "--dcache-kb") {
-            opt.dcacheKb = needUnsigned("--dcache-kb");
-        } else if (a == "--l2-kb") {
-            opt.l2Kb = needUnsigned("--l2-kb");
-        } else if (a == "--l2-lat") {
-            opt.l2Lat = needUnsigned("--l2-lat");
-        } else if (a == "--mem-lat") {
-            opt.memLat = needUnsigned("--mem-lat");
-        } else if (a == "--fill-ports") {
-            opt.fillPorts = needUnsigned("--fill-ports");
-        } else if (a == "--predictor") {
-            opt.predictor = need("--predictor");
-            checkChoice(opt.predictor, runner::validPredictors(),
-                        "--predictor");
-        } else if (a == "--spec-history") {
-            opt.specHistory = true;
-        } else if (a == "--reserve-oldest") {
-            opt.reserveOldest = true;
-        } else if (a == "--paranoid") {
-            opt.paranoid = true;
-        } else if (a == "--issue-engine") {
-            opt.issueEngine = need("--issue-engine");
-            checkChoice(opt.issueEngine, {"scan", "event"},
-                        "--issue-engine");
-        } else if (a == "--no-idle-skip") {
-            opt.noIdleSkip = true;
-        } else if (a == "--save-trace") {
-            opt.saveTrace = need("--save-trace");
-        } else if (a == "--load-trace") {
-            opt.loadTrace = need("--load-trace");
-        } else if (a == "--verify-ir") {
-            opt.verifyIr = true;
-        } else if (a == "--pass-stats") {
-            opt.passStats = true;
-        } else if (a == "--list-passes") {
-            for (const auto &info : compiler::allPasses())
-                std::printf("%-11s %s\n",
-                            std::string(info.name).c_str(),
-                            std::string(info.description).c_str());
-            std::exit(0);
-        } else if (a == "--dump-after") {
-            std::string list = need("--dump-after");
-            std::size_t pos = 0;
-            while (pos <= list.size()) {
-                const std::size_t comma = list.find(',', pos);
-                const std::string name = list.substr(
-                    pos, comma == std::string::npos ? std::string::npos
-                                                    : comma - pos);
-                if (name != "all" && !compiler::isPassName(name))
-                    MCA_FATAL("--dump-after: unknown pass '", name,
-                              "' (see --list-passes)");
-                opt.dumpAfter.push_back(name);
-                if (comma == std::string::npos)
-                    break;
-                pos = comma + 1;
-            }
-        } else if (a == "--dump-stats") {
-            opt.dumpStats = true;
-        } else if (a == "--json") {
-            opt.jsonStats = true;
-        } else if (a == "--dump-binary") {
-            opt.dumpBinary = true;
-        } else if (a == "--timeline") {
-            opt.timeline = needUnsigned("--timeline");
-        } else if (a == "--quiet") {
-            opt.quiet = true;
-        } else if (a == "--sample") {
-            opt.sampleSpec = need("--sample");
-        } else if (a == "--ckpt-out") {
-            opt.ckptOut = need("--ckpt-out");
-        } else if (a == "--ckpt-at") {
-            opt.ckptAt = needU64("--ckpt-at");
-        } else if (a == "--ckpt-in") {
-            opt.ckptIn = need("--ckpt-in");
-        } else if (a == "--ckpt-every") {
-            opt.ckptEvery = needU64("--ckpt-every");
-            if (opt.ckptEvery == 0)
-                MCA_FATAL("--ckpt-every must be >= 1");
-        } else if (a == "--ckpt-dir") {
-            opt.ckptDir = need("--ckpt-dir");
-        } else if (a == "--cycle-stacks") {
-            opt.cycleStacks = true;
-        } else if (a == "--interval-stats") {
-            opt.intervalStats = needU64("--interval-stats");
-            if (opt.intervalStats == 0)
-                MCA_FATAL("--interval-stats must be >= 1");
-        } else if (a == "--stats-out") {
-            opt.statsOut = need("--stats-out");
-        } else if (a == "--trace-out") {
-            opt.traceOut = need("--trace-out");
-        } else if (a == "--trace-insts") {
-            opt.traceInsts = needUnsigned("--trace-insts");
-        } else if (a == "--prof") {
-            opt.prof = true;
-        } else if (a == "--prof-out") {
-            opt.profOut = need("--prof-out");
-            opt.prof = true;
-        } else if (a == "--prof-hw") {
-            opt.profHw = true;
-            opt.prof = true;
-        } else if (a == "--log-level") {
-            const std::string text = need("--log-level");
-            log::Level level;
-            if (!log::parseLevel(text, level))
-                MCA_FATAL("unknown log level '", text,
-                          "' (valid: debug, info, warn, error, off)");
-            log::setThreshold(level);
-        } else {
-            usage();
-            MCA_FATAL("unknown argument: ", a);
-        }
-    }
+    runner::JobSpec &spec = opt.spec;
+    FlagTable cli("mcasim — multicluster architecture simulator");
+
+    cli.section("workload (choose one):");
+    cli.choice("--benchmark", "NAME", "[compress]", spec.benchmark,
+               runner::validBenchmarks());
+    cli.flag("--random-seed", "N", "random fuzzer program", opt.randomSeed);
+    cli.flag("--load-trace", "FILE", "replay a saved trace file",
+             opt.loadTrace);
+
+    cli.section("compilation:");
+    cli.choice("--scheduler", "KIND", "[local]", spec.scheduler,
+               runner::validSchedulers());
+    cli.flag("--threshold", "N", "local-scheduler imbalance threshold [4]",
+             spec.threshold);
+    cli.flag("--unroll", "N", "unroll counted self-loops [1]", spec.unroll);
+    cli.flag("--scale", "X", "workload scale [0.2]", spec.scale);
+    cli.flag("--verify-ir", "check IR invariants between passes",
+             opt.verifyIr);
+    cli.add("--dump-after", "LIST",
+            "print the IR after these passes (comma-separated names or "
+            "'all')",
+            [&opt](const std::string &list) {
+                for (const auto &name : splitList(list)) {
+                    if (name != "all" && !compiler::isPassName(name))
+                        throw std::runtime_error(
+                            "--dump-after: unknown pass '" + name +
+                            "' (see --list-passes)");
+                    opt.dumpAfter.push_back(name);
+                }
+            });
+    cli.flag("--pass-stats", "per-pass wall clock + IR deltas",
+             opt.passStats);
+    cli.add("--list-passes", "", "print the pass registry and exit",
+            [](const std::string &) {
+                for (const auto &info : compiler::allPasses())
+                    std::printf("%-11s %s\n",
+                                std::string(info.name).c_str(),
+                                std::string(info.description).c_str());
+                std::exit(0);
+            });
+
+    cli.section("machine:");
+    cli.choice("--machine", "NAME", "[dual8]", spec.machine,
+               runner::validMachines());
+    cli.add("--clusters", "N",
+            "N-cluster split of the 8-way machine (1|2|4|8, = "
+            "multiCluster8(N)); must agree with --machine when both are "
+            "given",
+            [&](const std::string &v) {
+                const auto n = parseUnsignedFlag(
+                    v, "--clusters", std::numeric_limits<unsigned>::max());
+                // Parse-time guard for the partitioner's int8_t
+                // assignment storage; the machine factory narrows
+                // further to 1|2|4|8.
+                if (n == 0 || n > compiler::ClusterAssignment::kMaxClusters)
+                    throw std::runtime_error(
+                        "--clusters: cluster count " + v +
+                        " out of range (accepted: 1, 2, 4, or 8)");
+                opt.clusters = static_cast<unsigned>(n);
+            });
+    cli.flag("--dq", "N", "dispatch-queue entries per cluster",
+             opt.dqEntries);
+    cli.flag("--otb", "N", "operand transfer-buffer entries per cluster",
+             opt.otbEntries);
+    cli.flag("--rtb", "N", "result transfer-buffer entries per cluster",
+             opt.rtbEntries);
+    cli.flag("--mshr", "N", "explicit MSHR entries (0 = inverted)",
+             opt.mshrEntries);
+    cli.choice("--queue-mode", "KIND",
+               "(hold entries to retire/issue) [machine default]",
+               opt.queueMode, {"window", "rs"});
+    cli.choice("--predictor", "KIND", "[machine default]", spec.predictor,
+               runner::validPredictors());
+    cli.flag("--spec-history", "speculative global history",
+             opt.specHistory);
+    cli.flag("--reserve-oldest", "reserve a buffer entry for the oldest",
+             opt.reserveOldest);
+    cli.choice("--issue-engine", "KIND", "issue scheduler [event]",
+               opt.issueEngine, {"scan", "event"});
+    cli.flag("--no-idle-skip", "disable the idle-cycle fast-forward",
+             opt.noIdleSkip);
+    cli.flag("--paranoid", "check core invariants every cycle (slow)",
+             opt.paranoid);
+
+    cli.section("memory hierarchy (docs/memory.md; defaults = paper mode):");
+    cli.flag("--icache-kb", "N", "L1 instruction-cache size in KB [64]",
+             opt.icacheKb);
+    cli.flag("--dcache-kb", "N", "L1 data-cache size in KB [64]",
+             opt.dcacheKb);
+    cli.flag("--l2-kb", "N", "shared L2 size in KB (0 = no L2) [0]",
+             spec.l2Kb);
+    cli.flag("--l2-lat", "N", "L2 hit latency in cycles [6]", spec.l2Lat);
+    cli.flag("--mem-lat", "N", "memory backside latency in cycles [16]",
+             spec.memLat);
+    cli.flag("--fill-ports", "N", "fills/cycle per level (0 = unlimited) [0]",
+             spec.fillPorts);
+
+    cli.section("run control:");
+    cli.flag("--max-insts", "N", "trace length cap [300000]", spec.maxInsts);
+    cli.flag("--trace-seed", "N",
+             "trace interpreter seed, also the compiler's profiling-run "
+             "seed [42]",
+             spec.traceSeed);
+    cli.flag("--save-trace", "FILE", "write the trace file and exit",
+             opt.saveTrace);
+    cli.flag("--dump-stats", "dump the full statistics registry",
+             opt.dumpStats);
+    cli.flag("--json", "dump statistics as JSON", opt.jsonStats);
+    cli.flag("--dump-binary", "print the compiled binary's disassembly",
+             opt.dumpBinary);
+    cli.flag("--timeline", "N", "print events for the first N instructions",
+             opt.timeline);
+    cli.flag("--quiet", "only the one-line summary", opt.quiet);
+
+    cli.section("checkpoint & sampling (docs/sampling.md):");
+    cli.flag("--sample", "SPEC",
+             "sampled run: mode:period=N,detail=N,warmup=N[,offset=N]"
+             "[,jobs=N]; mode is systematic or periodic",
+             opt.sampleSpec);
+    cli.flag("--ckpt-out", "FILE",
+             "write a snapshot (at --ckpt-at, or at the end of the run)",
+             opt.ckptOut);
+    cli.flag("--ckpt-at", "N", "cycle to take the --ckpt-out snapshot",
+             opt.ckptAt);
+    cli.flag("--ckpt-in", "FILE", "restore a snapshot, then run to the end",
+             opt.ckptIn);
+    cli.flag("--ckpt-every", "N", "write a snapshot every N cycles",
+             opt.ckptEvery, 1);
+    cli.flag("--ckpt-dir", "DIR", "directory for --ckpt-every files [.]",
+             opt.ckptDir);
+
+    cli.section("observability (docs/observability.md):");
+    cli.flag("--cycle-stacks", "per-cause retire-slot stall attribution",
+             opt.cycleStacks);
+    cli.flag("--interval-stats", "N",
+             "close a time-series interval every N cycles",
+             opt.intervalStats, 1);
+    cli.flag("--stats-out", "FILE", "interval rows (JSONL; *.csv writes CSV)",
+             opt.statsOut);
+    cli.flag("--trace-out", "FILE", "Chrome trace-event JSON (Perfetto)",
+             opt.traceOut);
+    cli.flag("--trace-insts", "N", "instruction slices in the trace [2000]",
+             opt.traceInsts);
+
+    cli.section("host profiling (docs/profiling.md):");
+    cli.flag("--prof", "profile host time by simulator region", opt.prof);
+    cli.add("--prof-out", "FILE",
+            "write the profile as JSON (implies --prof; render with "
+            "scripts/prof_report.py)",
+            [&](const std::string &v) {
+                opt.profOut = v;
+                opt.prof = true;
+            });
+    cli.add("--prof-hw", "",
+            "also sample hardware counters per region (implies --prof; "
+            "perf_event_open, falls back to time-only)",
+            [&](const std::string &) {
+                opt.profHw = true;
+                opt.prof = true;
+            });
+
+    cli.section("general:");
+    cli.standard(std::string("mcasim ") + MCA_VERSION_STRING,
+                 runner::validBenchmarks());
+
+    cli.parse(argc, argv);
+    // The profiling run is seeded with the trace seed, as in every
+    // campaign job (runner::expandGrid), so one named point gives the
+    // same cycles here and in mcarun.
+    spec.profileSeed = spec.traceSeed;
+    spec.validate(); // the checks mcarun applies to the same point
+    opt.machineSet = cli.given("--machine");
     if (opt.clusters > 0 && !opt.machineSet)
-        opt.machine = "multi8x" + std::to_string(opt.clusters);
+        spec.machine = "multi8x" + std::to_string(opt.clusters);
     return opt;
 }
 
 core::ProcessorConfig
-machineConfig(const Options &opt, unsigned *clusters)
+machineConfig(const Options &opt)
 {
     // The named machines, the predictor and the memory-hierarchy axes
     // come from the runner's table, so mcasim and mcarun build the same
     // machine from the same names; only the per-flag overrides below
     // are mcasim's own.
-    runner::JobSpec spec;
-    spec.machine = opt.machine;
-    spec.predictor = opt.predictor;
-    spec.l2Kb = opt.l2Kb.value_or(spec.l2Kb);
-    spec.l2Lat = opt.l2Lat.value_or(spec.l2Lat);
-    spec.memLat = opt.memLat.value_or(spec.memLat);
-    spec.fillPorts = opt.fillPorts.value_or(spec.fillPorts);
-    core::ProcessorConfig cfg;
-    try {
-        // --clusters alone selects the N-cluster 8-way machine.
-        cfg = opt.clusters > 0 && !opt.machineSet
-                  ? runner::machineConfigFor(
-                        spec, core::ProcessorConfig::multiCluster8(
-                                  opt.clusters, "--clusters"))
-                  : runner::machineConfigFor(spec);
-    } catch (const std::exception &e) {
-        MCA_FATAL(e.what());
-    }
+    // --clusters alone selects the N-cluster 8-way machine.
+    core::ProcessorConfig cfg =
+        opt.clusters > 0 && !opt.machineSet
+            ? runner::machineConfigFor(
+                  opt.spec, core::ProcessorConfig::multiCluster8(
+                                opt.clusters, "--clusters"))
+            : runner::machineConfigFor(opt.spec);
     // Cross-check: the binary is partitioned for the machine's cluster
     // count, so an explicit --clusters must agree with --machine.
     if (opt.clusters > 0 && opt.machineSet &&
         cfg.numClusters != opt.clusters)
         MCA_FATAL("--clusters ", opt.clusters, " disagrees with --machine ",
-                  opt.machine, " (", cfg.numClusters,
+                  opt.spec.machine, " (", cfg.numClusters,
                   " clusters); the compiled binary is partitioned for "
                   "the machine's cluster count");
-    *clusters = cfg.numClusters;
     if (opt.dqEntries)
         cfg.dispatchQueueEntries = *opt.dqEntries;
     if (opt.otbEntries)
@@ -476,11 +342,7 @@ machineConfig(const Options &opt, unsigned *clusters)
         cfg.holdQueueUntilRetire = false;
     // Surface bad knob combinations (cache geometry, zero widths) as a
     // one-line parse-time error instead of a mid-run assertion.
-    try {
-        cfg.validate();
-    } catch (const std::exception &e) {
-        MCA_FATAL(e.what());
-    }
+    cfg.validate();
     return cfg;
 }
 
@@ -526,18 +388,23 @@ finishProfile(const Options &opt, obs::PerfettoExporter *exporter,
     }
 }
 
-} // namespace
-
-int
-main(int argc, char **argv)
+/** Write the --trace-out document. */
+void
+writeTrace(const Options &opt, const obs::PerfettoExporter &exporter)
 {
-    Options opt;
-    try {
-        opt = parse(argc, argv);
-    } catch (const std::exception &e) {
-        MCA_FATAL(e.what());
-    }
+    std::ofstream out(opt.traceOut, std::ios::trunc);
+    if (!out)
+        MCA_FATAL("cannot write --trace-out file '", opt.traceOut, "'");
+    exporter.write(out);
+    if (!opt.quiet)
+        std::cout << "wrote trace to " << opt.traceOut
+                  << " (open in ui.perfetto.dev)\n";
+}
 
+/** The whole run; a rejected machine, compile or file throws. */
+int
+run(const Options &opt)
+{
     // Enable recording before any instrumented work so Profile::wallNs
     // spans (and the coverage check is honest about) the whole run.
     if (opt.prof) {
@@ -546,8 +413,9 @@ main(int argc, char **argv)
         prof::setEnabled(true);
     }
 
-    unsigned clusters = 2;
-    core::ProcessorConfig cfg = machineConfig(opt, &clusters);
+    const runner::JobSpec &spec = opt.spec;
+    core::ProcessorConfig cfg = machineConfig(opt);
+    const unsigned clusters = cfg.numClusters;
 
     std::unique_ptr<exec::TraceSource> trace;
     std::string source_desc;
@@ -570,42 +438,32 @@ main(int argc, char **argv)
                 rp.seed = *opt.randomSeed;
                 return workloads::makeRandomProgram(rp);
             }
-            const std::string name =
-                opt.benchmark.empty() ? "compress" : opt.benchmark;
             workloads::WorkloadParams wp;
-            wp.scale = opt.scale;
-            return workloads::benchmarkByName(name).make(wp);
+            wp.scale = spec.scale;
+            return workloads::benchmarkByName(spec.benchmark).make(wp);
         }();
 
-        compiler::CompileOptions copt;
-        try {
-            copt = compiler::compileOptionsFor(opt.scheduler, clusters);
-        } catch (const std::exception &e) {
-            MCA_FATAL(e.what());
-        }
-        copt.imbalanceThreshold = opt.threshold;
-        copt.unrollFactor = opt.unroll;
+        compiler::CompileOptions copt =
+            runner::jobCompileOptions(spec, clusters);
         if (opt.verifyIr)
             copt.verifyIr = true;
         copt.dumpAfter = opt.dumpAfter;
-        try {
+        {
             PROF_SCOPE("compile");
             compiled = compiler::compile(program, copt);
-        } catch (const std::exception &e) {
-            MCA_FATAL(e.what());
         }
         for (const auto &[pass, text] : compiled->dumps)
             std::cout << "=== after pass '" << pass << "' ===\n"
                       << text;
         cfg.regMap = compiled->hardwareMap(clusters);
-        source_desc = program.name + " / " + opt.scheduler;
+        source_desc = program.name + " / " + spec.scheduler;
 
         if (!opt.saveTrace.empty()) {
-            exec::ProgramTrace pt(compiled->binary, opt.traceSeed,
-                                  opt.maxInsts);
+            exec::ProgramTrace pt(compiled->binary, spec.traceSeed,
+                                  spec.maxInsts);
             const auto n = exec::writeTrace(opt.saveTrace, pt,
                                             compiled->alloc.globalRegs,
-                                            opt.maxInsts);
+                                            spec.maxInsts);
             std::cout << "wrote " << n << " instructions to "
                       << opt.saveTrace << "\n";
             return 0;
@@ -613,7 +471,7 @@ main(int argc, char **argv)
         if (opt.dumpBinary)
             std::cout << prog::dumpProgram(compiled->binary);
         trace = std::make_unique<exec::ProgramTrace>(
-            compiled->binary, opt.traceSeed, opt.maxInsts);
+            compiled->binary, spec.traceSeed, spec.maxInsts);
     }
 
     if (!opt.sampleSpec.empty()) {
@@ -623,26 +481,20 @@ main(int argc, char **argv)
         if (!compiled)
             MCA_FATAL("--sample requires a compiled workload "
                       "(--benchmark or --random-seed, not --load-trace)");
-        sample::SampleSpec spec;
-        try {
-            spec = sample::SampleSpec::parse(opt.sampleSpec);
-        } catch (const std::exception &e) {
-            MCA_FATAL(e.what());
-        }
+        const sample::SampleSpec plan =
+            sample::SampleSpec::parse(opt.sampleSpec);
         sample::SampleReport rep;
-        try {
+        {
             PROF_SCOPE("simulate");
             sample::SampledDriver driver(compiled->binary, cfg,
-                                         opt.traceSeed, opt.maxInsts);
-            rep = driver.run(spec);
-        } catch (const std::exception &e) {
-            MCA_FATAL(e.what());
+                                         spec.traceSeed, spec.maxInsts);
+            rep = driver.run(plan);
         }
         if (!rep.allConserved)
             MCA_FATAL("cycle-stack conservation violated in a sampled "
                       "interval");
-        std::cout << source_desc << " on " << opt.machine << " [sampled "
-                  << spec.canonical() << "]: " << rep.totalInsts
+        std::cout << source_desc << " on " << spec.machine << " [sampled "
+                  << plan.canonical() << "]: " << rep.totalInsts
                   << " instructions, est " << rep.estTotalCycles
                   << " cycles (cpi " << rep.cpiMean << " +/- "
                   << rep.cpiCi95 << ", " << rep.intervals.size()
@@ -684,14 +536,7 @@ main(int argc, char **argv)
             }
             if (opt.prof)
                 finishProfile(opt, &exporter, 2);
-            std::ofstream out(opt.traceOut, std::ios::trunc);
-            if (!out)
-                MCA_FATAL("cannot write --trace-out file '",
-                          opt.traceOut, "'");
-            exporter.write(out);
-            if (!opt.quiet)
-                std::cout << "wrote trace to " << opt.traceOut
-                          << " (open in ui.perfetto.dev)\n";
+            writeTrace(opt, exporter);
         } else if (opt.prof) {
             finishProfile(opt, nullptr, 0);
         }
@@ -725,11 +570,7 @@ main(int argc, char **argv)
     auto saveSnapshot = [&](const std::string &path) {
         ckpt::SnapshotBuilder builder(cpu.configHash());
         cpu.saveState(builder);
-        try {
-            builder.finish().saveFile(path);
-        } catch (const std::exception &e) {
-            MCA_FATAL(e.what());
-        }
+        builder.finish().saveFile(path);
         if (!opt.quiet)
             std::cout << "wrote checkpoint " << path << " (cycle "
                       << cpu.now() << ")\n";
@@ -744,6 +585,16 @@ main(int argc, char **argv)
         opt.ckptEvery > 0 ? cpu.now() + opt.ckptEvery : ~Cycle{0};
     // --ckpt-at 0 means "at the end of the run" (saved after the loop).
     bool ckptOutSaved = opt.ckptOut.empty() || opt.ckptAt == 0;
+    auto saveDueSnapshots = [&] {
+        if (!ckptOutSaved && cpu.now() >= opt.ckptAt) {
+            saveSnapshot(opt.ckptOut);
+            ckptOutSaved = true;
+        }
+        if (cpu.now() >= nextEvery) {
+            saveSnapshot(periodicPath(cpu.now()));
+            nextEvery += opt.ckptEvery;
+        }
+    };
 
     // Per-cycle observation is needed only for the sampler and the
     // counter tracks; without them the run loop is exactly cpu.run()
@@ -773,14 +624,7 @@ main(int argc, char **argv)
                 snap.cycle % counter_stride == 0)
                 exporter.addCounters(snap);
             // step() never fast-forwards, so every boundary is seen.
-            if (!ckptOutSaved && cpu.now() >= opt.ckptAt) {
-                saveSnapshot(opt.ckptOut);
-                ckptOutSaved = true;
-            }
-            if (cpu.now() >= nextEvery) {
-                saveSnapshot(periodicPath(cpu.now()));
-                nextEvery += opt.ckptEvery;
-            }
+            saveDueSnapshots();
         }
         sampler.finish();
         result.cycles = cpu.now();
@@ -798,14 +642,7 @@ main(int argc, char **argv)
             result = cpu.run(bound);
             if (result.completed)
                 break;
-            if (!ckptOutSaved && cpu.now() >= opt.ckptAt) {
-                saveSnapshot(opt.ckptOut);
-                ckptOutSaved = true;
-            }
-            if (cpu.now() >= nextEvery) {
-                saveSnapshot(periodicPath(cpu.now()));
-                nextEvery += opt.ckptEvery;
-            }
+            saveDueSnapshots();
         }
     } else {
         result = cpu.run();
@@ -835,7 +672,7 @@ main(int argc, char **argv)
         }
     }
 
-    std::cout << source_desc << " on " << opt.machine << ": "
+    std::cout << source_desc << " on " << spec.machine << ": "
               << result.instructions << " instructions, "
               << result.cycles << " cycles (ipc "
               << (result.cycles ? static_cast<double>(
@@ -949,14 +786,7 @@ main(int argc, char **argv)
             if (rec.seq < opt.traceInsts)
                 capped.record(rec.cycle, rec.seq, rec.cluster, rec.event);
         exporter.addTimeline(capped, clusters);
-        std::ofstream out(opt.traceOut, std::ios::trunc);
-        if (!out)
-            MCA_FATAL("cannot write --trace-out file '", opt.traceOut,
-                      "'");
-        exporter.write(out);
-        if (!opt.quiet)
-            std::cout << "wrote trace to " << opt.traceOut
-                      << " (open in ui.perfetto.dev)\n";
+        writeTrace(opt, exporter);
     }
 
     if (opt.dumpStats && !opt.quiet)
@@ -964,4 +794,16 @@ main(int argc, char **argv)
     if (opt.jsonStats)
         stats.dumpJson(std::cout);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return run(parse(argc, argv));
+    } catch (const std::exception &e) {
+        MCA_FATAL(e.what());
+    }
 }

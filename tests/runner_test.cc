@@ -205,6 +205,14 @@ TEST(RunJob, InvalidSpecsAreCapturedNotFatal)
     spec = tinySpec();
     spec.predictor = "oracle";
     EXPECT_EQ(runner::runJob(spec).status, JobStatus::Failed);
+
+    // The generators cast scale x trip count to an unsigned integer; a
+    // negative scale once made that cast undefined and ran a huge loop.
+    spec = tinySpec();
+    spec.scale = -5.0;
+    const JobResult negative = runner::runJob(spec);
+    EXPECT_EQ(negative.status, JobStatus::Failed);
+    EXPECT_NE(negative.error.find("scale"), std::string::npos);
 }
 
 TEST(RunJob, CycleBudgetExhaustionIsTimeout)
@@ -592,14 +600,11 @@ TEST(Campaign, CompileCacheSharesCompilesAcrossTheGrid)
     EXPECT_EQ(summary.compiles, 4u);
     EXPECT_EQ(summary.compileHits, 4u);
 
-    // Shared compiles change nothing observable: results match an
-    // uncached serial run field for field.
-    runner::CampaignOptions uncached;
-    uncached.jobs = 1;
-    uncached.compileCache = false;
-    runner::CampaignSummary usummary;
-    const auto plain = runner::runCampaign(specs, uncached, &usummary);
-    EXPECT_EQ(usummary.compiles, 0u);
+    // Shared compiles change nothing observable: results match each
+    // spec run on its own, with its own compile, field for field.
+    std::vector<runner::JobResult> plain;
+    for (const auto &spec : specs)
+        plain.push_back(runner::runJob(spec));
     ASSERT_EQ(plain.size(), cached.size());
     for (std::size_t i = 0; i < plain.size(); ++i) {
         EXPECT_EQ(plain[i].status, cached[i].status) << i;

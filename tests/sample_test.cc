@@ -144,6 +144,27 @@ TEST(SampleSpec, RejectsBadInput)
                  std::runtime_error);
 }
 
+TEST(SampleSpec, RejectsJobsBeyondTheWorkerBound)
+{
+    // 2^32 + 1 once narrowed to one worker; jobs is bounded like --jobs.
+    EXPECT_THROW(sample::SampleSpec::parse("systematic:jobs=4294967297"),
+                 std::runtime_error);
+    EXPECT_THROW(sample::SampleSpec::parse("systematic:jobs=4097"),
+                 std::runtime_error);
+    EXPECT_EQ(sample::SampleSpec::parse("systematic:jobs=4096").jobs,
+              4096u);
+}
+
+TEST(SampleSpec, RejectsOverlapHiddenByAWrappingSum)
+{
+    // warmup + detail wraps to 1 in 64 bits, which once passed as
+    // fitting inside the period.
+    EXPECT_THROW(sample::SampleSpec::parse(
+                     "systematic:warmup=18446744073709551615,detail=2,"
+                     "period=10"),
+                 std::runtime_error);
+}
+
 // --- sampled execution ----------------------------------------------
 
 TEST(SampledRun, CpiTracksFullRun)

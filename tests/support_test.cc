@@ -1,20 +1,34 @@
 /**
  * @file
  * Unit tests for the support library: RNG, saturating counters,
- * circular queues, bitsets, statistics, the table formatter, and
- * checked numeric flag parsing.
+ * circular queues, bitsets, statistics and the JSON writers' shared
+ * escaping, the table formatter, checked numeric flag parsing and the
+ * flag table.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
+
+#include <unistd.h>
 
 #include "obs/json.hh"
+#include "obs/perfetto.hh"
+#include "prof/prof.hh"
+#include "runner/emit.hh"
+#include "runner/telemetry.hh"
 #include "support/bitset.hh"
 #include "support/circular_queue.hh"
 #include "support/flags.hh"
+#include "support/json.hh"
 #include "support/random.hh"
 #include "support/sat_counter.hh"
 #include "support/stats.hh"
@@ -421,6 +435,59 @@ TEST(Stats, JsonDumpEscapesAwkwardNames)
     EXPECT_NE(s.find("weird\\\"name\\\\with\\nescapes"),
               std::string::npos);
     EXPECT_NE(s.find("\"inf\": null"), std::string::npos);
+
+    // Every other JSON writer shares the one escaper: each must emit a
+    // valid document holding the same escaped spelling of a name with
+    // quotes, a backslash and control characters in it.
+    const std::string awkward = "a \"q\" \\ \n\t\r\x01 z";
+    const std::string escaped = "a \\\"q\\\" \\\\ \\n\\t\\r\\u0001 z";
+    EXPECT_EQ(jsonEscape(awkward), escaped);
+    const auto expectEscaped = [&](const std::string &doc,
+                                   const char *writer) {
+        std::string why;
+        EXPECT_TRUE(obs::isValidJson(doc, &why))
+            << writer << ": " << why << "\n" << doc;
+        EXPECT_NE(doc.find(escaped), std::string::npos)
+            << writer << ":\n" << doc;
+    };
+
+    StatGroup named(awkward);
+    std::ostringstream stats;
+    named.dumpJson(stats);
+    expectEscaped(stats.str(), "StatGroup::dumpJson");
+
+    runner::JobResult result;
+    result.spec.benchmark = awkward;
+    result.error = awkward;
+    std::ostringstream line;
+    runner::emitJsonLine(line, result);
+    expectEscaped(line.str(), "runner::emitJsonLine");
+
+    const std::string path = ::testing::TempDir() + "mca_escape_" +
+                             std::to_string(::getpid()) + ".jsonl";
+    {
+        runner::TelemetryWriter telemetry(path);
+        telemetry.onResult(1, 1, result);
+    }
+    std::ifstream in(path);
+    std::string record;
+    std::getline(in, record);
+    std::remove(path.c_str());
+    expectEscaped(record, "runner::TelemetryWriter");
+
+    obs::PerfettoExporter exporter;
+    exporter.addSlice(awkward, 0, 1, 0, 1);
+    std::ostringstream trace;
+    exporter.write(trace);
+    expectEscaped(trace.str(), "obs::PerfettoExporter");
+
+    prof::Profile profile;
+    profile.root.name = "total";
+    profile.root.children.push_back({});
+    profile.root.children.back().name = awkward;
+    std::ostringstream prof;
+    profile.dumpJson(prof);
+    expectEscaped(prof.str(), "prof::Profile::dumpJson");
 }
 
 // --- Distribution percentile / variance --------------------------------
@@ -520,6 +587,124 @@ TEST(Flags, ErrorNamesTheFlagAndValue)
         EXPECT_EQ(std::string(e.what()),
                   "--max-insts: expected an unsigned integer, got '1e6'");
     }
+}
+
+TEST(Flags, JobsIsAWorkerCountOrAuto)
+{
+    EXPECT_EQ(parseJobsFlag("1", "--jobs"), 1u);
+    EXPECT_EQ(parseJobsFlag("4096", "--jobs"), 4096u);
+    EXPECT_GE(parseJobsFlag("auto", "--jobs"), 1u);
+    // 2^32 + 1 must not narrow to one worker.
+    for (const char *bad : {"0", "4097", "4294967297", "", "-1", "2x"})
+        EXPECT_THROW(parseJobsFlag(bad, "--jobs"), std::runtime_error)
+            << "'" << bad << "'";
+}
+
+// --- FlagTable ---------------------------------------------------------
+
+/** Parse @p args (without the program name) through @p table. */
+void
+parseArgs(FlagTable &table, std::vector<std::string> args)
+{
+    args.insert(args.begin(), "tool");
+    std::vector<char *> argv;
+    for (auto &arg : args)
+        argv.push_back(arg.data());
+    table.parse(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(FlagTable, WritesEachTypedDestination)
+{
+    bool sw = false;
+    std::string text, pick = "a";
+    double x = 0.0;
+    unsigned u = 0;
+    std::uint64_t big = 0, atLeastOne = 1;
+    std::optional<unsigned> maybe;
+    std::vector<unsigned> us;
+    std::vector<std::string> picks;
+    std::string seen;
+    FlagTable t("tool");
+    t.flag("--sw", "a switch", sw);
+    t.flag("--text", "S", "a string", text);
+    t.flag("--x", "X", "a double", x);
+    t.flag("--u", "N", "an unsigned", u);
+    t.flag("--big", "N", "a u64", big);
+    t.flag("--min1", "N", "a u64 >= 1", atLeastOne, 1);
+    t.flag("--maybe", "N", "an optional", maybe);
+    t.list("--us", "LIST", "unsigneds", us);
+    t.choice("--pick", "K", "[a]", pick, {"a", "b"});
+    t.list("--picks", "LIST", "choices", picks, {"a", "b"});
+    t.add("--act", "V", "an action", [&](const std::string &v) { seen = v; });
+    parseArgs(t, {"--sw", "--text", "hi", "--x", "0.5", "--u", "7", "--big",
+                  "18446744073709551615", "--min1", "3", "--maybe", "9",
+                  "--us", "1,,2", "--pick", "b", "--picks", "b,a", "--act",
+                  "v"});
+    EXPECT_TRUE(sw);
+    EXPECT_EQ(text, "hi");
+    EXPECT_DOUBLE_EQ(x, 0.5);
+    EXPECT_EQ(u, 7u);
+    EXPECT_EQ(big, 18446744073709551615ull);
+    EXPECT_EQ(atLeastOne, 3u);
+    EXPECT_EQ(maybe, 9u);
+    EXPECT_EQ(us, (std::vector<unsigned>{1, 2}));
+    EXPECT_EQ(pick, "b");
+    EXPECT_EQ(picks, (std::vector<std::string>{"b", "a"}));
+    EXPECT_EQ(seen, "v");
+    EXPECT_TRUE(t.given("--pick"));
+    EXPECT_FALSE(t.given("--help"));
+}
+
+TEST(FlagTable, RejectsWithAMessageNamingTheFlag)
+{
+    unsigned u = 0;
+    std::uint64_t atLeastOne = 1;
+    std::string pick;
+    FlagTable t("tool");
+    t.flag("--u", "N", "an unsigned", u);
+    t.flag("--min1", "N", "a u64 >= 1", atLeastOne, 1);
+    t.choice("--pick", "K", "", pick, {"a", "b"});
+    const auto message = [&](std::vector<std::string> args) {
+        try {
+            parseArgs(t, std::move(args));
+        } catch (const std::runtime_error &e) {
+            return std::string(e.what());
+        }
+        return std::string("accepted");
+    };
+    EXPECT_EQ(message({"--u", "4294967296"}),
+              "--u: expected an unsigned integer <= 4294967295, "
+              "got '4294967296'");
+    EXPECT_EQ(message({"--min1", "0"}),
+              "--min1: expected an integer >= 1, got '0'");
+    EXPECT_EQ(message({"--pick", "c"}),
+              "--pick: unknown value 'c' (valid: a, b)");
+    EXPECT_EQ(message({"--u"}), "missing value for --u");
+    EXPECT_EQ(message({"--nope"}), "unknown argument: --nope (see --help)");
+}
+
+TEST(FlagTable, HelpListsEveryFlagWithItsChoices)
+{
+    unsigned jobs = 4;
+    std::string pick;
+    FlagTable t("tool — a test");
+    t.section("group:");
+    t.choice("--pick", "KIND", "[a]", pick, {"a", "b"});
+    t.jobs(jobs);
+    std::ostringstream os;
+    t.printHelp(os);
+    const std::string help = os.str();
+    EXPECT_EQ(help.rfind("tool — a test\n", 0), 0u) << help;
+    EXPECT_NE(help.find("  -h, --help           print this help"),
+              std::string::npos)
+        << help;
+    EXPECT_NE(help.find("\ngroup:\n  --pick KIND          a|b [a]\n"),
+              std::string::npos)
+        << help;
+    EXPECT_NE(help.find("  -j, --jobs N|auto"), std::string::npos) << help;
+    std::istringstream lines(help);
+    for (std::string line; std::getline(lines, line);)
+        EXPECT_LE(line.size(), 80u) << line;
 }
 
 } // namespace
